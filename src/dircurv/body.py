@@ -11,7 +11,9 @@ the sampling oracles.
 * xi lies on the zero set within a tolerance band scaled by the gradient;
 * the gradient does not vanish (there is a supporting direction);
 * <xi, grad f(xi)> > 0, which orients the gradient outward relative to the
-  interior origin and makes the dual vector well defined.
+  interior origin and makes the dual vector well defined;
+* f, the gradient, its norm, the pairing and the Hessian are finite there --
+  a point whose field overflows is a numerical failure, not a boundary point.
 
 The pivot index is the first coordinate whose partial derivative is
 nonvanishing (numerically: above tol_pivot relative to the sup-norm of the
@@ -33,6 +35,7 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     InvalidBodyError,
+    NonFiniteValueError,
     NonSmoothPointError,
     NotOnBoundaryError,
     OrientationViolationError,
@@ -151,6 +154,13 @@ class TangentFrame:
     ortho: tuple[np.ndarray, ...]
 
 
+def _require_finite(what: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteValueError(
+            f"{what} is not finite at the point: {value!r}", location=what
+        )
+
+
 def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
     """Check the standing hypotheses at x and cache the local derivatives.
 
@@ -163,6 +173,8 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
         the pairing <x, grad f(x)>.
 
     Raises:
+        NonFiniteValueError: f, the gradient, its norm, the Hessian or the
+            pairing is inf or nan at x.
         NotOnBoundaryError: |f(x)| exceeds tol_boundary * (1 + |grad|).
         NonSmoothPointError: the gradient vanishes (no supporting direction).
         OrientationViolationError: <x, grad f(x)> <= 0.
@@ -173,8 +185,11 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
     if not np.all(np.isfinite(x)):
         raise InputError("point has non-finite coordinates")
     grad = body.gradient(x)
-    gnorm = float(np.linalg.norm(grad))
     fval = body.value(x)
+    _require_finite("f", fval)
+    _require_finite("gradient", grad)
+    gnorm = float(np.linalg.norm(grad))
+    _require_finite("gradient norm", gnorm)  # an inf norm would void the band test
     if abs(fval) > body.tol_boundary * (1.0 + gnorm):
         raise NotOnBoundaryError(
             f"f(x) = {fval!r} is outside the boundary band {body.tol_boundary} * (1 + |grad|)"
@@ -182,6 +197,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
     if gnorm <= body.tol_pivot:
         raise NonSmoothPointError(f"gradient norm {gnorm!r} vanishes at the point")
     pairing = float(np.dot(x, grad))
+    _require_finite("pairing", pairing)
     if pairing <= 0.0:
         raise OrientationViolationError(
             f"<x, grad f(x)> = {pairing!r} must be positive (is the origin interior here?)"
@@ -194,6 +210,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
             break
     dual = grad / pairing
     hess = body.hessian(x)
+    _require_finite("hessian", hess)
     return BoundaryPoint(
         body=body, point=x.copy(), grad=grad, hess=hess,
         pivot=pivot, dual=dual, pairing=pairing,
@@ -234,9 +251,10 @@ def in_tangent_hyperplane(p: BoundaryPoint, u) -> bool:
 def minkowski_gauge(body: ImplicitBody, x) -> float:
     """Gauge (Minkowski functional) of x: the lambda > 0 with x/lambda on the boundary.
 
-    The ray {x/lambda} is scanned over the bracket lambda in [1e-9, 1e9] from
-    large lambda (deep interior, f < 0) downward until f changes sign, then the
-    crossing is bisected to floating-point exhaustion, which lands well inside
+    The ray {x/lambda} is evaluated on the decade grid lambda = 1e9 .. 1e-9 in
+    one array pass and scanned from large lambda (deep interior, f < 0)
+    downward until f changes sign, then the crossing is bisected to
+    floating-point exhaustion, which lands well inside
     |f| <= 1e-12 * (1 + |grad f|).
 
     Raises:
@@ -253,20 +271,15 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         return body.value(x / lam)
 
     grid = [10.0 ** e for e in range(9, -10, -1)]  # 1e9 down to 1e-9
+    values = body.value(x[:, None] / np.array(grid)).tolist()  # one array pass
     lo = hi = None
-    prev_lam = grid[0]
-    prev_val = g(prev_lam)
-    if prev_val == 0.0:
-        return prev_lam
-    for lam in grid[1:]:
-        val = g(lam)
+    for i, (lam, val) in enumerate(zip(grid, values)):
         if val == 0.0:
             return lam
-        if (val > 0.0) != (prev_val > 0.0):
-            lo, hi = lam, prev_lam  # g(lo), g(hi) have opposite signs
+        if i and (val > 0.0) != (values[i - 1] > 0.0):
+            lo, hi = lam, grid[i - 1]  # g(lo), g(hi) have opposite signs
             lo_val = val
             break
-        prev_lam, prev_val = lam, val
     if lo is None:
         raise RayEscapesError(
             "no boundary crossing in the gauge bracket [1e-9, 1e9] along the ray"

@@ -116,6 +116,12 @@ class RayEscapesError(NumericalError):
     code = "ray_escapes"
 
 
+class NonFiniteValueError(NumericalError):
+    """f, the gradient, the Hessian or the pairing overflowed at the point."""
+
+    code = "non_finite_value"
+
+
 # --- curvature ---------------------------------------------------------------
 
 class ZeroDirectionError(InputError):

@@ -15,11 +15,23 @@ here is a pure function, so trees can be shared freely across threads.
 There is deliberately no simplification pass: ``differentiate`` returns the
 raw product/quotient-rule tree and ``evaluate`` walks it in a fixed
 left-to-right order, so results are bit-for-bit reproducible.
+
+``evaluate`` takes one point (a length-n sequence, result a float) or a batch
+of m points as the columns of an ``(n, m)`` array (result a length-m array).
+The batch walks the same tree once with each node operating on whole rows.
+Every element then goes through the same IEEE-754 additions, subtractions,
+multiplications, divisions and negations, in the same order, as the scalar
+walk of its column, and ``Pow`` still uses binary exponentiation rather than
+a libm ``pow``.  So each entry is bit-identical to evaluating that column on
+its own.
 """
 
 from __future__ import annotations
 
+import math
 import re
+
+import numpy as np
 
 from .errors import (
     DivisionByZeroError,
@@ -186,8 +198,12 @@ class Div(_Binary):
 
     def _eval(self, x):
         denom = self.right._eval(x)
-        if denom == 0.0:
-            raise DivisionByZeroError(str(self.right))
+        try:
+            if denom == 0.0:
+                raise DivisionByZeroError(str(self.right))
+        except ValueError:  # a row of denominators has no single truth value
+            if not denom.all():
+                raise DivisionByZeroError(str(self.right)) from None
         return self.left._eval(x) / denom
 
     def _diff(self, k):
@@ -298,7 +314,12 @@ def _tokenize(text: str, n: int) -> list[_Token]:
             continue
         m = _NUMBER_RE.match(text, pos)
         if m:
-            tokens.append(_Token("num", m.group(0), pos + 1, float(m.group(0))))
+            value = float(m.group(0))
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(
+                    f"literal {m.group(0)!r} is not a finite float", pos + 1
+                )
+            tokens.append(_Token("num", m.group(0), pos + 1, value))
             pos = m.end()
             continue
         if ch == "x":
@@ -401,9 +422,20 @@ def differentiate(e: Expression, k: int) -> Expression:
     return e._diff(k)
 
 
-def evaluate(e: Expression, x) -> float:
-    """Evaluate ``e`` at the point ``x`` (indexable, 0-based storage for x1..xn)."""
-    return float(e._eval(x))
+def evaluate(e: Expression, x):
+    """Evaluate ``e`` at the point ``x`` (indexable, 0-based storage for x1..xn).
+
+    A 2-D array ``x`` of shape (n, m) holds m points as its columns; the
+    result is then a fresh length-m float array, entry j equal bit for bit to
+    ``evaluate(e, x[:, j])``.  Overflow in a batch yields inf/nan silently, as
+    it does on Python floats.
+    """
+    if getattr(x, "ndim", 1) != 2:
+        return float(e._eval(x))
+    out = np.empty(x.shape[1])
+    with np.errstate(all="ignore"):
+        out[:] = e._eval(x)
+    return out
 
 
 def to_text(e: Expression) -> str:

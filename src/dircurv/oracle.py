@@ -15,9 +15,16 @@ definitional ingredients:
   osculating ball bound d(eta)^2 / (2 drop(eta)) <= R holds for every sampled
   nearby section point eta; flat sections (vanishing drop) report +inf.
 
-Root-finding along a circle treats grid points with |f| below a gradient-
-scaled floor as boundary points outright -- necessary on flat pieces, where
-the field is identically zero along an arc and never changes sign.
+Root-finding treats grid points with |f| below a gradient-scaled floor as
+boundary points outright -- necessary on flat pieces, where the field is
+identically zero along an arc and never changes sign.  Each public call
+batches all of its circles (one for ``modulus_bruteforce``, the seven dyadic
+radii of ``gamma_estimate``, the sixteen of ``radius_containment``): one
+array pass evaluates the field at every scan angle of every circle, then all
+sign-change brackets are bisected in lockstep, one array evaluation per
+step.  Each bracket stops exactly where a one-at-a-time bisection would, so
+roots, witnesses and quotients are bit-identical to scanning circle by
+circle.
 """
 
 from __future__ import annotations
@@ -89,51 +96,93 @@ def _section_basis(p: BoundaryPoint, u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _circle_roots(
-    p: BoundaryPoint, e_t: np.ndarray, e_n: np.ndarray, r: float, m: int
-) -> list[np.ndarray]:
-    """Boundary points on the radius-r circle around p inside the section plane.
+    p: BoundaryPoint, e_t: np.ndarray, e_n: np.ndarray, radii, m: int
+) -> list[list[np.ndarray]]:
+    """Boundary points on each radius-r circle around p inside the section plane.
 
-    Scans m equispaced angles; a grid value within the floor is a root
-    outright (flat arcs), and each sign change between non-root neighbours is
-    bisected in the angle until the interval exhausts float resolution.
+    One array pass evaluates the field at m equispaced angles on every
+    circle.  A grid value within the floor is a root outright (flat arcs).
+    Every sign change between non-root neighbours, on every circle, is then
+    bisected in the angle in lockstep: each step evaluates all live brackets
+    in one batch, and a bracket retires when its midpoint no longer splits it,
+    when the midpoint value is within the floor, or after 200 steps.  Angles
+    go through ``math.cos``/``math.sin`` and the batched field evaluation is
+    bit-identical to the scalar one, so the roots equal those of scanning and
+    bisecting one circle and one bracket at a time.  Returns one list per
+    radius: grid roots by angle, then bisected roots by bracket angle.
     """
     body = p.body
-    xi = p.point
+    xi, et, en = p.point[:, None], e_t[:, None], e_n[:, None]
     ftol = 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
+    radii = np.asarray(radii, dtype=float)
 
-    def at(theta: float) -> np.ndarray:
-        return xi + r * math.cos(theta) * e_t + r * math.sin(theta) * e_n
+    def at(r, cos, sin) -> np.ndarray:
+        # one point per column, in the order of xi + r cos(t) e_t + r sin(t) e_n
+        return xi + (r * cos) * et + (r * sin) * en
 
-    thetas = [2.0 * math.pi * s / m for s in range(m)]
-    values = [body.value(at(th)) for th in thetas]
-    roots: list[float] = []
-    is_root = [abs(v) <= ftol for v in values]
-    for s in range(m):
-        if is_root[s]:
-            roots.append(thetas[s])
-    for s in range(m):
-        s_next = (s + 1) % m
-        if is_root[s] or is_root[s_next]:
-            continue
-        va, vb = values[s], values[s_next]
-        if (va > 0.0) == (vb > 0.0):
-            continue
-        lo, hi = thetas[s], thetas[s] + 2.0 * math.pi / m
-        v_lo = va
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v_mid = body.value(at(mid))
-            if abs(v_mid) <= ftol:
-                lo = hi = mid
-                break
-            if (v_mid > 0.0) == (v_lo > 0.0):
-                lo, v_lo = mid, v_mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return [at(th) for th in roots]
+    k = len(radii)
+    thetas = np.array([2.0 * math.pi * s / m for s in range(m)])
+    cos, sin = _cos_sin(thetas)
+    scan = body.value(at(np.repeat(radii, m), np.tile(cos, k), np.tile(sin, k)))
+    scan = scan.reshape(k, m)
+    is_root = np.abs(scan) <= ftol
+    nxt = np.roll(np.arange(m), -1)
+    crossing = ~is_root & ~is_root[:, nxt] & ((scan > 0.0) != (scan[:, nxt] > 0.0))
+
+    circle, s = np.nonzero(crossing)
+    lo = thetas[s]
+    hi = lo + 2.0 * math.pi / m
+    v_lo = scan[circle, s]
+    live = np.arange(len(s))
+    for _ in range(200):
+        mid = 0.5 * (lo[live] + hi[live])
+        split = (mid != lo[live]) & (mid != hi[live])
+        live, mid = live[split], mid[split]
+        if not len(live):
+            break
+        v_mid = body.value(at(radii[circle[live]], *_cos_sin(mid)))
+        hit = np.abs(v_mid) <= ftol
+        same = ~hit & ((v_mid > 0.0) == (v_lo[live] > 0.0))
+        other = ~hit & ~same
+        # a hit collapses its bracket, which retires it on the next step
+        lo[live[hit]] = hi[live[hit]] = mid[hit]
+        lo[live[same]] = mid[same]
+        v_lo[live[same]] = v_mid[same]
+        hi[live[other]] = mid[other]
+
+    roots: list[list[float]] = [[] for _ in range(k)]
+    for c, g in zip(*np.nonzero(is_root)):
+        roots[c].append(thetas[g])
+    for c, a, b in zip(circle, lo, hi):
+        roots[c].append(0.5 * (a + b))
+    return [list(at(r, *_cos_sin(ths)).T) for r, ths in zip(radii, roots)]
+
+
+def _cos_sin(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """libm cosines and sines of the angles, as the scalar ``math`` calls give them."""
+    return (np.array([math.cos(th) for th in thetas]),
+            np.array([math.sin(th) for th in thetas]))
+
+
+def _sample(p: BoundaryPoint, u, radii, m: int) -> list[ModulusSample]:
+    """Sampled modulus at each chord radius, from one batched circle scan."""
+    if m < 64:
+        raise InputError(f"need at least 64 scan angles, got {m}")
+    e_t, e_n = _section_basis(p, u)
+    samples = []
+    for r, etas in zip(radii, _circle_roots(p, e_t, e_n, radii, m)):
+        if not etas:
+            raise NoBoundaryIntersectionError(
+                f"the radius-{r} section circle does not meet the boundary"
+            )
+        drops = [float(np.dot(p.point - eta, p.dual)) for eta in etas]
+        value = min(drops)
+        band = max(1e-12, 1e-6 * abs(value))
+        witnesses = tuple(
+            eta for eta, d in zip(etas, drops) if d - value <= band
+        )
+        samples.append(ModulusSample(r=r, value=value, witnesses=witnesses))
+    return samples
 
 
 def modulus_bruteforce(p: BoundaryPoint, u, r: float, m: int = 512) -> ModulusSample:
@@ -152,35 +201,19 @@ def modulus_bruteforce(p: BoundaryPoint, u, r: float, m: int = 512) -> ModulusSa
         raise InputError(
             f"chord radius must satisfy 0 < r < delta = {p.body.delta}, got {r!r}"
         )
-    if m < 64:
-        raise InputError(f"need at least 64 scan angles, got {m}")
-    e_t, e_n = _section_basis(p, u)
-    etas = _circle_roots(p, e_t, e_n, r, m)
-    if not etas:
-        raise NoBoundaryIntersectionError(
-            f"the radius-{r} section circle does not meet the boundary"
-        )
-    drops = [float(np.dot(p.point - eta, p.dual)) for eta in etas]
-    value = min(drops)
-    band = max(1e-12, 1e-6 * abs(value))
-    witnesses = tuple(
-        eta for eta, d in zip(etas, drops) if d - value <= band
-    )
-    return ModulusSample(r=r, value=value, witnesses=witnesses)
+    return _sample(p, u, [r], m)[0]
 
 
 def gamma_estimate(p: BoundaryPoint, u, m: int = 512) -> GammaEstimate:
     """Estimate gamma_hat(u) as the small-radius limit of drop(r) / r^2.
 
     Radii follow the dyadic schedule r_k = r_0 / 2^k for k = 0..6 with
-    r_0 = min(delta / 4, 0.1); the estimate is the last quotient.
+    r_0 = min(delta / 4, 0.1); the estimate is the last quotient.  All seven
+    circles are scanned in one batch.
     """
     r0 = min(p.body.delta / 4.0, 0.1)
-    quotients = []
-    for k in range(7):
-        rk = r0 * 0.5**k
-        sample = modulus_bruteforce(p, u, rk, m)
-        quotients.append(sample.value / (rk * rk))
+    radii = [r0 * 0.5**k for k in range(7)]
+    quotients = [s.value / (s.r * s.r) for s in _sample(p, u, radii, m)]
     return GammaEstimate(estimate=quotients[-1], quotients=tuple(quotients))
 
 
@@ -199,11 +232,10 @@ def radius_containment(p: BoundaryPoint, u, eps: float, m: int = 512) -> float:
             f"got {eps!r}"
         )
     e_t, e_n = _section_basis(p, u)
-    worst = 0.0
     levels = 16
-    for l in range(1, levels + 1):
-        rho = eps * l / levels
-        etas = _circle_roots(p, e_t, e_n, rho, m)
+    radii = [eps * l / levels for l in range(1, levels + 1)]
+    worst = 0.0
+    for rho, etas in zip(radii, _circle_roots(p, e_t, e_n, radii, m)):
         if not etas:
             raise NoBoundaryIntersectionError(
                 f"the radius-{rho} section circle does not meet the boundary"

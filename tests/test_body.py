@@ -19,6 +19,7 @@ from dircurv import (
 from dircurv.errors import (
     DimensionMismatchError,
     InvalidBodyError,
+    NonFiniteValueError,
     NonSmoothPointError,
     NotOnBoundaryError,
     OrientationViolationError,
@@ -116,6 +117,21 @@ def test_validate_rejects_off_boundary(disk_body):
 def test_validate_rejects_wrong_dimension(disk_body):
     with pytest.raises(DimensionMismatchError):
         validate_point(disk_body, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("f,x,what", [
+    ("x1^2 + x2^2 - 1", [1e200, 0.0], "f"),        # f overflows to inf
+    ("x1^2 + x2^2 - 1", [0.0, -1e300], "f"),
+    ("1e150*(x1 - 1e160) + x2", [1e160, 0.0], "pairing"),  # f, grad finite
+    # |grad| overflows although its entries do not; f = 0.5 would pass the band
+    ("1e160*x1 - 1e160 + x2", [1.0, 0.5], "gradient norm"),
+])
+def test_validate_rejects_overflowing_point(f, x, what):
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError) as exc:
+        validate_point(make_body({"n": 2, "f": f, "delta": 0.5}), x)
+    assert exc.value.code == "non_finite_value"
+    assert exc.value.location == what
+    assert exc.value.exit_code == 3
 
 
 def test_validate_rejects_vanishing_gradient():

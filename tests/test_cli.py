@@ -188,6 +188,23 @@ def test_off_boundary_point_is_input_error(body_file, capsys):
     assert set(err) == {"code", "message", "location"}
 
 
+def test_overflowing_point_is_numerical_error(body_file, capsys):
+    code, out = invoke(capsys, ["report", "--body", body_file(DISK), "--point", "1e200,0"])
+    assert code == 3
+    err = first_json(out)["error"]
+    assert err["code"] == "non_finite_value"
+    assert err["location"] == "f"
+
+
+def test_overflowing_literal_is_syntax_error(body_file, capsys):
+    body = {"n": 2, "f": "x1^2 + x2^2 - 1e400", "delta": 0.5}
+    code, out = invoke(capsys, ["report", "--body", body_file(body), "--point", "1,0"])
+    assert code == 2
+    err = first_json(out)["error"]
+    assert err["code"] == "syntax_error"
+    assert err["location"] == 15
+
+
 def test_syntax_error_carries_position(body_file, capsys):
     body = {"n": 2, "f": "x1^", "delta": 0.5}
     code, out = invoke(capsys, ["report", "--body", body_file(body), "--point", "1,0"])

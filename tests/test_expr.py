@@ -235,3 +235,90 @@ def test_mixed_second_partials_commute(tree, x1, x2):
     a = expr.evaluate(d12, [x1, x2])
     b = expr.evaluate(d21, [x1, x2])
     assert abs(a - b) <= 1e-12 * (1.0 + max(abs(a), abs(b)))
+
+
+def test_overflowing_literal_rejected_with_position():
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        expr.parse("x1^2 + x2^2 - 1e400", 2)
+    assert exc.value.position == 15
+    assert exc.value.exit_code == 2
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        expr.parse("x1 + " + "9" * 400, 1)
+    assert exc.value.position == 6
+    assert ev("1.7e308 - x1", [0.0]) == 1.7e308
+
+
+# ---------------------------------------------------------------- batches
+
+# trees with quotients and higher powers; coordinates drawn from a grid that
+# includes 0 so that denominators vanish in some columns
+
+_batch_leaf = st.one_of(
+    st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]).map(expr.Number),
+    st.sampled_from([1, 2, 3]).map(expr.Variable),
+)
+
+
+def _batch_combine(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda ab: expr.Add(*ab)),
+        pair.map(lambda ab: expr.Sub(*ab)),
+        pair.map(lambda ab: expr.Mul(*ab)),
+        pair.map(lambda ab: expr.Div(*ab)),
+        children.map(expr.Neg),
+        st.tuples(children, st.integers(min_value=0, max_value=7)).map(
+            lambda ek: expr.Pow(*ek)),
+    )
+
+
+_batch_tree = st.recursive(_batch_leaf, _batch_combine, max_leaves=10)
+_batch_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a), np.signbit(b))
+
+
+@given(_batch_tree, st.lists(st.tuples(_batch_coord, _batch_coord, _batch_coord),
+                             min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_batch_evaluation_matches_columns_bit_for_bit(tree, points):
+    # round-trip through the parser, so the tree is one the grammar produces
+    tree = expr.parse(expr.to_text(tree), 3)
+    x = np.array(points).T
+    with np.errstate(all="ignore"):
+        try:
+            columns = np.array([expr.evaluate(tree, x[:, j]) for j in range(x.shape[1])])
+        except DivisionByZeroError:
+            with pytest.raises(DivisionByZeroError):
+                expr.evaluate(tree, x)
+            return
+    batch = expr.evaluate(tree, x)
+    assert batch.shape == (x.shape[1],)
+    assert _same_bits(batch, columns)
+
+
+def test_batch_with_one_zero_denominator_raises():
+    tree = expr.parse("1/(x1 - 2) + x2", 2)
+    x = np.array([[1.0, 3.0, 2.0, 5.0], [0.0, 1.0, 2.0, 3.0]])
+    with pytest.raises(DivisionByZeroError) as exc:
+        expr.evaluate(tree, x)
+    assert exc.value.location == "x1 - 2.0"
+    rest = x[:, [0, 1, 3]]
+    assert expr.evaluate(tree, rest).tolist() == [
+        expr.evaluate(tree, rest[:, j]) for j in range(3)]
+
+
+def test_batch_of_leaves_is_a_fresh_array():
+    x = np.array([[1.0, 2.0, 3.0]])
+    const = expr.evaluate(expr.parse("2.5", 1), x)
+    assert const.tolist() == [2.5, 2.5, 2.5]
+    var = expr.evaluate(expr.parse("x1", 1), x)
+    var[0] = 9.0
+    assert x[0, 0] == 1.0
+    assert isinstance(expr.evaluate(expr.parse("x1", 1), np.array([4.0])), float)

@@ -23,6 +23,7 @@ from dircurv import (
     validate_point,
 )
 from dircurv.errors import InputError, NoBoundaryIntersectionError, NotTangentError
+from dircurv.oracle import _circle_roots, _section_basis
 
 
 # ---------------------------------------------------------------- modulus
@@ -173,3 +174,114 @@ def test_containment_rejects_bad_eps(disk_point):
         radius_containment(disk_point, [0.0, 1.0], 0.0)
     with pytest.raises(InputError):
         radius_containment(disk_point, [0.0, 1.0], 0.25)   # eps == delta / 2
+
+
+def test_containment_raises_on_first_empty_circle():
+    # unit disk around (1, 0): circles wider than 2 miss it; eps * 12/16 is the first
+    b = make_body({"n": 2, "f": "x1^2 + x2^2 - 1", "delta": 6.0})
+    p = validate_point(b, [1.0, 0.0])
+    with pytest.raises(NoBoundaryIntersectionError) as exc:
+        radius_containment(p, [0.0, 1.0], 2.9)
+    assert f"radius-{2.9 * 12 / 16}" in exc.value.message
+
+
+# ---------------------------------------------------------------- batching
+
+
+def _one_circle_roots(p, e_t, e_n, r, m):
+    """The scalar one-circle scan and one-bracket-at-a-time bisection."""
+    body = p.body
+    xi = p.point
+    ftol = 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
+
+    def at(theta):
+        return xi + r * math.cos(theta) * e_t + r * math.sin(theta) * e_n
+
+    thetas = [2.0 * math.pi * s / m for s in range(m)]
+    values = [body.value(at(th)) for th in thetas]
+    roots = []
+    is_root = [abs(v) <= ftol for v in values]
+    for s in range(m):
+        if is_root[s]:
+            roots.append(thetas[s])
+    for s in range(m):
+        s_next = (s + 1) % m
+        if is_root[s] or is_root[s_next]:
+            continue
+        va, vb = values[s], values[s_next]
+        if (va > 0.0) == (vb > 0.0):
+            continue
+        lo, hi = thetas[s], thetas[s] + 2.0 * math.pi / m
+        v_lo = va
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            v_mid = body.value(at(mid))
+            if abs(v_mid) <= ftol:
+                lo = hi = mid
+                break
+            if (v_mid > 0.0) == (v_lo > 0.0):
+                lo, v_lo = mid, v_mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return [at(th) for th in roots]
+
+
+def _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
+    halfplane = validate_point(make_body({"n": 2, "f": "x2 - 1", "delta": 0.5}), [0.0, 1.0])
+    cases = [
+        (disk_point, [0.0, 1.0]),
+        (sphere3_point, [1.0, 0.0, 0.0]),
+        (cylinder_point, [0.0, 1.0, 0.0]),    # flat arcs: grid points within ftol
+        (cylinder_point, [1.2, 0.5, -0.9]),
+        (halfplane, [1.0, 0.0]),
+        (quartic_point, [-2.0, 1.0]),
+    ]
+    for seed, n in ((3, 2), (4, 3), (5, 3)):
+        rng = np.random.default_rng(seed)
+        body, a = quadric_body(rng, n)
+        p = validate_point(body, quadric_boundary_point(rng, a))
+        cases.append((p, tangent_direction(rng, p)))
+    return cases
+
+
+def test_batched_circle_roots_equal_one_circle_scan_bit_for_bit(
+        disk_point, sphere3_point, cylinder_point, quartic_point):
+    radii = [0.01, 0.0625, 0.1, 0.23, 0.35]
+    for p, u in _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
+        e_t, e_n = _section_basis(p, u)
+        batched = _circle_roots(p, e_t, e_n, radii, 512)
+        assert len(batched) == len(radii)
+        for r, got in zip(radii, batched):
+            want = _one_circle_roots(p, e_t, e_n, r, 512)
+            assert [eta.tobytes() for eta in got] == [eta.tobytes() for eta in want]
+
+
+def test_batched_bisection_across_a_pole_matches_one_circle_scan():
+    # the sign change across the pole of 0.01/(x1 - 0.0513) never meets the
+    # floor, so those brackets stop when the midpoint no longer splits them
+    b = make_body({"n": 2, "f": "x2 - 1 + 0.01/(x1 - 0.0513)", "delta": 0.5})
+    p = validate_point(b, [0.5, 1.0 - 0.01 / (0.5 - 0.0513)])
+    e_t, e_n = _section_basis(p, [1.0, 0.01 / (0.5 - 0.0513) ** 2])
+    radii = [0.3, 0.46]
+    batched = _circle_roots(p, e_t, e_n, radii, 512)
+    assert len(batched[1]) == 4
+    for r, got in zip(radii, batched):
+        want = _one_circle_roots(p, e_t, e_n, r, 512)
+        assert [eta.tobytes() for eta in got] == [eta.tobytes() for eta in want]
+
+
+def test_gamma_estimate_quotients_equal_single_radius_samples(disk_point, quartic_point):
+    for p, u in ((disk_point, [0.0, 1.0]), (quartic_point, [-2.0, 1.0])):
+        est = gamma_estimate(p, u, m=96)
+        r0 = min(p.body.delta / 4.0, 0.1)
+        for k, q in enumerate(est.quotients):
+            rk = r0 * 0.5**k
+            assert q == modulus_bruteforce(p, u, rk, m=96).value / (rk * rk)
+
+
+def test_gamma_estimate_rejects_coarse_scan(disk_point):
+    with pytest.raises(InputError):
+        gamma_estimate(disk_point, [0.0, 1.0], m=32)
