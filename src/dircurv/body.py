@@ -12,8 +12,9 @@ the sampling oracles.
 * the gradient does not vanish (there is a supporting direction);
 * <xi, grad f(xi)> > 0, which orients the gradient outward relative to the
   interior origin and makes the dual vector well defined;
-* f, the gradient, its norm, the pairing and the Hessian are finite there --
-  a point whose field overflows is a numerical failure, not a boundary point.
+* f, the gradient, its norm, the pairing, the dual vector and the Hessian
+  are finite there -- a point whose field overflows is a numerical failure,
+  not a boundary point.
 
 The pivot index is the first coordinate whose partial derivative is
 nonvanishing (numerically: above tol_pivot relative to the sup-norm of the
@@ -38,6 +39,7 @@ from .errors import (
     NonFiniteValueError,
     NonSmoothPointError,
     NotOnBoundaryError,
+    NotTangentError,
     OrientationViolationError,
     RayEscapesError,
     ZeroDirectionError,
@@ -46,7 +48,8 @@ from .linalg import orthonormalize
 
 __all__ = [
     "ImplicitBody", "BoundaryPoint", "TangentFrame",
-    "validate_point", "tangent_frame", "in_tangent_hyperplane", "minkowski_gauge",
+    "validate_point", "tangent_frame", "in_tangent_hyperplane", "check_direction",
+    "minkowski_gauge",
     "body_from_dict",
 ]
 
@@ -104,14 +107,16 @@ class ImplicitBody:
         return expr.evaluate(self.f, x)
 
     def gradient(self, x) -> np.ndarray:
-        return np.array([expr.evaluate(p, x) for p in self._partials])
+        xs = np.asarray(x, dtype=float).tolist()  # trees walk Python floats, as in evaluate
+        return np.array([p._eval(xs) for p in self._partials], dtype=float)
 
     def hessian(self, x) -> np.ndarray:
         """Numeric Hessian; the upper triangle is evaluated and mirrored."""
+        xs = np.asarray(x, dtype=float).tolist()
         h = np.empty((self.n, self.n))
         for k in range(1, self.n + 1):
             for l in range(k, self.n + 1):
-                v = expr.evaluate(self._second_partials[(k, l)], x)
+                v = self._second_partials[(k, l)]._eval(xs)
                 h[k - 1, l - 1] = v
                 h[l - 1, k - 1] = v
         return h
@@ -161,6 +166,7 @@ def _require_finite(what: str, value) -> None:
         )
 
 
+@np.errstate(over="ignore")  # overflow is reported by the finiteness checks, not warned
 def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
     """Check the standing hypotheses at x and cache the local derivatives.
 
@@ -173,8 +179,8 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
         the pairing <x, grad f(x)>.
 
     Raises:
-        NonFiniteValueError: f, the gradient, its norm, the Hessian or the
-            pairing is inf or nan at x.
+        NonFiniteValueError: f, the gradient, its norm, the pairing, the
+            dual vector or the Hessian is inf or nan at x.
         NotOnBoundaryError: |f(x)| exceeds tol_boundary * (1 + |grad|).
         NonSmoothPointError: the gradient vanishes (no supporting direction).
         OrientationViolationError: <x, grad f(x)> <= 0.
@@ -209,6 +215,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
             pivot = i + 1
             break
     dual = grad / pairing
+    _require_finite("dual", dual)  # a subnormal pairing overflows it
     hess = body.hessian(x)
     _require_finite("hessian", hess)
     return BoundaryPoint(
@@ -236,16 +243,55 @@ def tangent_frame(p: BoundaryPoint) -> TangentFrame:
     return TangentFrame(indices=tuple(indices), basis=tuple(basis), ortho=tuple(ortho))
 
 
+def _sup_scaled(u: np.ndarray) -> np.ndarray:
+    # u over its largest |entry|: norms and quadratic forms of it cannot overflow
+    top = float(np.max(np.abs(u), initial=0.0))
+    return u / top if top > 0.0 else u
+
+
 def in_tangent_hyperplane(p: BoundaryPoint, u) -> bool:
-    """True iff u is a nonzero vector orthogonal to the gradient at p (1e-9 relative)."""
+    """True iff u is a finite nonzero vector orthogonal to the gradient at p (1e-9 relative).
+
+    The test is scale-free: u is divided by its largest |entry| first.
+    """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.shape[0] != p.body.n:
         raise DimensionMismatchError(f"direction must have length {p.body.n}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        return False
+    u = _sup_scaled(u)
     unorm = float(np.linalg.norm(u))
     if unorm == 0.0:
         return False
     gnorm = float(np.linalg.norm(p.grad))
     return abs(float(np.dot(u, p.grad))) <= 1e-9 * unorm * gnorm
+
+
+def check_direction(p: BoundaryPoint, u) -> np.ndarray:
+    """Check that u is a tangent direction at p; return u over its largest |entry|.
+
+    Every formula of a direction is invariant under scaling u, and the
+    rescaled copy keeps |u|^2 and <H u, u> finite for any finite u.
+
+    Raises:
+        InputError: u has a non-finite coordinate.
+        ZeroDirectionError: u is the zero vector.
+        NotTangentError: u is not orthogonal to the gradient (1e-9 relative).
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.shape[0] != p.body.n:
+        raise DimensionMismatchError(f"direction must have length {p.body.n}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InputError("direction has non-finite coordinates")
+    v = _sup_scaled(u)
+    if not np.any(v):
+        raise ZeroDirectionError("the zero vector is not a direction")
+    if not in_tangent_hyperplane(p, v):
+        raise NotTangentError(
+            f"direction is not tangent: |<u, grad>| = {abs(float(np.dot(v, p.grad)))!r} "
+            f"exceeds 1e-9 * |u| * |grad| (u scaled to max |u_k| = 1)"
+        )
+    return v
 
 
 def minkowski_gauge(body: ImplicitBody, x) -> float:
@@ -264,14 +310,16 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != body.n:
         raise DimensionMismatchError(f"point must have length {body.n}, got shape {x.shape}")
-    if float(np.linalg.norm(x)) == 0.0:
+    if not np.any(x):
         raise ZeroDirectionError("the gauge of the zero vector is not defined by a ray crossing")
 
     def g(lam: float) -> float:
-        return body.value(x / lam)
+        with np.errstate(over="ignore"):  # a ray point past the float range is inf
+            return body.value(x / lam)
 
     grid = [10.0 ** e for e in range(9, -10, -1)]  # 1e9 down to 1e-9
-    values = body.value(x[:, None] / np.array(grid)).tolist()  # one array pass
+    with np.errstate(over="ignore"):
+        values = body.value(x[:, None] / np.array(grid)).tolist()  # one array pass
     lo = hi = None
     for i, (lam, val) in enumerate(zip(grid, values)):
         if val == 0.0:

@@ -28,14 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .body import BoundaryPoint, ImplicitBody, TangentFrame, tangent_frame, in_tangent_hyperplane
-from .errors import (
-    DimensionMismatchError,
-    NegativeCurvatureError,
-    NotInteriorError,
-    NotTangentError,
-    ZeroDirectionError,
-)
+from .body import BoundaryPoint, ImplicitBody, TangentFrame, check_direction, tangent_frame
+from .errors import DimensionMismatchError, NegativeCurvatureError, NotInteriorError
 from .linalg import sym_eigen
 
 __all__ = [
@@ -80,38 +74,21 @@ class CurvatureExtrema:
     dir_max: np.ndarray
 
 
-def _check_direction(p: BoundaryPoint, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] != p.body.n:
-        raise DimensionMismatchError(
-            f"direction must have length {p.body.n}, got shape {u.shape}"
-        )
-    unorm = float(np.linalg.norm(u))
-    if unorm == 0.0:
-        raise ZeroDirectionError("curvature of the zero direction is not defined")
-    if not in_tangent_hyperplane(p, u):
-        raise NotTangentError(
-            f"direction is not tangent: |<u, grad>| = {abs(float(np.dot(u, p.grad)))!r} "
-            f"exceeds 1e-9 * |u| * |grad|"
-        )
-    return u
-
-
 def _quadratic_form(p: BoundaryPoint, u: np.ndarray) -> float:
     return float(np.dot(u, p.hess @ u))
 
 
 def gamma_directional(p: BoundaryPoint, u) -> float:
     """Gauge-relative curvature gamma_hat(u) = <H u, u> / (2 <xi, grad> |u|^2)."""
-    u = _check_direction(p, u)
-    return _quadratic_form(p, u) / (2.0 * p.pairing * float(np.dot(u, u)))
+    v = check_direction(p, u)
+    return _quadratic_form(p, v) / (2.0 * p.pairing * float(np.dot(v, v)))
 
 
 def kappa_directional(p: BoundaryPoint, u) -> DirectionalCurvature:
     """Boundary curvature of the planar section through u, with its radius."""
-    u = _check_direction(p, u)
-    quad = _quadratic_form(p, u)
-    usq = float(np.dot(u, u))
+    v = check_direction(p, u)
+    quad = _quadratic_form(p, v)
+    usq = float(np.dot(v, v))
     gamma = quad / (2.0 * p.pairing * usq)
     gnorm = float(np.linalg.norm(p.grad))
     kappa = quad / (2.0 * gnorm * usq)
@@ -120,7 +97,7 @@ def kappa_directional(p: BoundaryPoint, u) -> DirectionalCurvature:
     else:
         radius = 1.0 / (2.0 * kappa)
     return DirectionalCurvature(
-        direction=u,
+        direction=np.asarray(u, dtype=float),
         gamma_hat=gamma,
         kappa_hat=kappa,
         radius_hat=radius,
@@ -156,31 +133,21 @@ def extrema(p: BoundaryPoint, frame: TangentFrame | None = None) -> CurvatureExt
     """
     if frame is None:
         frame = tangent_frame(p)
-    q = frame.ortho
-    m = len(q)
-    mat = np.empty((m, m))
-    for a in range(m):
-        ha = p.hess @ q[a]
-        for b in range(a, m):
-            v = float(np.dot(ha, q[b]))
-            mat[a, b] = v
-            mat[b, a] = v
-    vals, vecs = sym_eigen(mat)
+    q = np.array(frame.ortho)
+    mat = q @ p.hess @ q.T
+    vals, vecs = sym_eigen(0.5 * (mat + mat.T))  # matmul rounding is not symmetric
     gnorm = float(np.linalg.norm(p.grad))
     scale = 1.0 / (2.0 * gnorm)
 
     def pull_back(col: int) -> np.ndarray:
-        d = np.zeros(p.body.n)
-        for a in range(m):
-            d += vecs[a, col] * q[a]
-        norm = float(np.linalg.norm(d))
-        return d / norm
+        d = vecs[:, col] @ q
+        return d / float(np.linalg.norm(d))
 
     return CurvatureExtrema(
         kappa_min=vals[0] * scale,
         kappa_max=vals[-1] * scale,
         dir_min=pull_back(0),
-        dir_max=pull_back(m - 1),
+        dir_max=pull_back(-1),
     )
 
 

@@ -94,6 +94,12 @@ class NotSymmetricError(InputError):
     code = "not_symmetric"
 
 
+class NoConvergenceError(NumericalError):
+    """An iterative LAPACK routine (the symmetric eigensolver) did not converge."""
+
+    code = "no_convergence"
+
+
 # --- body ------------------------------------------------------------------
 
 class InvalidBodyError(InputError):
@@ -117,7 +123,8 @@ class RayEscapesError(NumericalError):
 
 
 class NonFiniteValueError(NumericalError):
-    """f, the gradient, the Hessian or the pairing overflowed at the point."""
+    """f, its derivatives, the pairing or the dual vector overflowed at the
+    point, or a matrix handed to the eigensolver has an inf or nan entry."""
 
     code = "non_finite_value"
 

@@ -12,12 +12,19 @@ literal only, which keeps the language polynomial-closed under
 differentiation.  ASTs are immutable after construction and every operation
 here is a pure function, so trees can be shared freely across threads.
 
-There is deliberately no simplification pass: ``differentiate`` returns the
-raw product/quotient-rule tree and ``evaluate`` walks it in a fixed
-left-to-right order, so results are bit-for-bit reproducible.
+``differentiate`` applies the sum, product, quotient and power rules and
+prunes one thing only: a literal-zero derivative (``Number(0.0)``) is dropped
+from sums and differences and zeroes out products, negations and quotients,
+so a derivative tree grows with the terms that depend on x_k, not with the
+whole field.  Pruning is exact up to IEEE corner cases: a dropped ``0*y`` no
+longer turns an infinite or NaN ``y`` (or a zero denominator inside it) into
+NaN or a division error, and ``y + 0`` no longer turns ``-0.0`` into
+``0.0``.  ``evaluate`` walks a tree in a fixed left-to-right order, so
+results are bit-for-bit reproducible.
 
-``evaluate`` takes one point (a length-n sequence, result a float) or a batch
-of m points as the columns of an ``(n, m)`` array (result a length-m array).
+``evaluate`` takes one point (a length-n sequence, walked as Python floats so
+overflow is silent; result a float) or a batch of m points as the columns of
+an ``(n, m)`` array (result a length-m array).
 The batch walks the same tree once with each node operating on whole rows.
 Every element then goes through the same IEEE-754 additions, subtractions,
 multiplications, divisions and negations, in the same order, as the scalar
@@ -50,6 +57,32 @@ def _wrap(value) -> "Expression":
     if isinstance(value, Expression):
         return value
     return Number(value)
+
+
+def _is_zero(e: "Expression") -> bool:
+    return isinstance(e, Number) and e.value == 0.0
+
+
+# Builders for derivative trees: each drops a literal-zero operand.
+
+def _add(a: "Expression", b: "Expression") -> "Expression":
+    if _is_zero(a):
+        return b
+    return a if _is_zero(b) else Add(a, b)
+
+
+def _sub(a: "Expression", b: "Expression") -> "Expression":
+    if _is_zero(b):
+        return a
+    return _neg(b) if _is_zero(a) else Sub(a, b)
+
+
+def _mul(a: "Expression", b: "Expression") -> "Expression":
+    return Number(0.0) if _is_zero(a) or _is_zero(b) else Mul(a, b)
+
+
+def _neg(a: "Expression") -> "Expression":
+    return a if _is_zero(a) else Neg(a)
 
 
 class Expression:
@@ -159,7 +192,7 @@ class Add(_Binary):
         return self.left._eval(x) + self.right._eval(x)
 
     def _diff(self, k):
-        return Add(self.left._diff(k), self.right._diff(k))
+        return _add(self.left._diff(k), self.right._diff(k))
 
     def __str__(self):
         return f"{self._fmt(self.left, 1)} + {self._fmt(self.right, 2)}"
@@ -172,7 +205,7 @@ class Sub(_Binary):
         return self.left._eval(x) - self.right._eval(x)
 
     def _diff(self, k):
-        return Sub(self.left._diff(k), self.right._diff(k))
+        return _sub(self.left._diff(k), self.right._diff(k))
 
     def __str__(self):
         return f"{self._fmt(self.left, 1)} - {self._fmt(self.right, 2)}"
@@ -186,8 +219,8 @@ class Mul(_Binary):
 
     def _diff(self, k):
         # product rule, children kept in source order
-        return Add(Mul(self.left._diff(k), self.right),
-                   Mul(self.left, self.right._diff(k)))
+        return _add(_mul(self.left._diff(k), self.right),
+                    _mul(self.left, self.right._diff(k)))
 
     def __str__(self):
         return f"{self._fmt(self.left, 2)}*{self._fmt(self.right, 3)}"
@@ -208,9 +241,9 @@ class Div(_Binary):
 
     def _diff(self, k):
         # (u/v)' = (u'v - uv') / v^2
-        return Div(Sub(Mul(self.left._diff(k), self.right),
-                       Mul(self.left, self.right._diff(k))),
-                   Pow(self.right, 2))
+        num = _sub(_mul(self.left._diff(k), self.right),
+                   _mul(self.left, self.right._diff(k)))
+        return num if _is_zero(num) else Div(num, Pow(self.right, 2))
 
     def __str__(self):
         return f"{self._fmt(self.left, 2)}/{self._fmt(self.right, 3)}"
@@ -248,8 +281,8 @@ class Pow(Expression):
     def _diff(self, k):
         if self.exponent == 0:
             return Number(0.0)
-        return Mul(Mul(Number(float(self.exponent)), Pow(self.base, self.exponent - 1)),
-                   self.base._diff(k))
+        return _mul(Mul(Number(float(self.exponent)), Pow(self.base, self.exponent - 1)),
+                    self.base._diff(k))
 
     def __str__(self):
         return f"{self._fmt(self.base, 5)}^{self.exponent}"
@@ -269,7 +302,7 @@ class Neg(Expression):
         return -self.child._eval(x)
 
     def _diff(self, k):
-        return Neg(self.child._diff(k))
+        return _neg(self.child._diff(k))
 
     def __str__(self):
         return f"-{self._fmt(self.child, 3)}"
@@ -416,7 +449,7 @@ def parse(text: str, n: int) -> Expression:
 
 
 def differentiate(e: Expression, k: int) -> Expression:
-    """Exact symbolic partial derivative of ``e`` with respect to x_k."""
+    """Exact symbolic partial derivative of ``e`` with respect to x_k, zero branches pruned."""
     if k < 1:
         raise ValueError("variable index must be >= 1")
     return e._diff(k)
@@ -425,13 +458,16 @@ def differentiate(e: Expression, k: int) -> Expression:
 def evaluate(e: Expression, x):
     """Evaluate ``e`` at the point ``x`` (indexable, 0-based storage for x1..xn).
 
+    A single point is walked as Python floats: the same IEEE-754 operations
+    as on numpy scalars, with overflow to inf/nan silent rather than warned.
+
     A 2-D array ``x`` of shape (n, m) holds m points as its columns; the
     result is then a fresh length-m float array, entry j equal bit for bit to
     ``evaluate(e, x[:, j])``.  Overflow in a batch yields inf/nan silently, as
     it does on Python floats.
     """
     if getattr(x, "ndim", 1) != 2:
-        return float(e._eval(x))
+        return float(e._eval(np.asarray(x, dtype=float).tolist()))
     out = np.empty(x.shape[1])
     with np.errstate(all="ignore"):
         out[:] = e._eval(x)

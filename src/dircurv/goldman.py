@@ -7,14 +7,16 @@ level set {f = 0} by n-2 hyperplanes through xi whose gradients are
 
 with coefficients a_{kl} = -f_l f_k / (f_i^2 + f_j^2) chosen so that each
 hyperplane contains both the gradient direction and u^j.  Stacking the
-gradient of f (symbolically) on top of these constant rows gives an
-(n-1) x n matrix; the tangent of the intersection curve is the generalized
-cross product of its rows,
+gradient of f on top of these constant rows gives an (n-1) x n matrix; the
+tangent of the intersection curve is the generalized cross product of its
+rows,
 
-    Tan_m = (-1)^(1+m) det(matrix with column m removed),
+    Tan_m = (-1)^(1+m) det(matrix with column m removed).
 
-expanded along the f row so every component is an explicit linear
-combination of the partials of f and stays differentiable.  The curve
+Expanded along the f row, every component is a linear combination of the
+partials of f with constant weights, the signed minors of the plane rows:
+Tan = W . grad f for a constant antisymmetric matrix W, hence
+d Tan / dx = H . W^T exactly, with H the Hessian of f.  The curve
 curvature is then
 
     k_G = |(Tan . grad Tan) ^ Tan| / |Tan|^3,
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .body import BoundaryPoint
 from .errors import DegenerateTangentError, InvalidIndexError
 from .linalg import determinant, exterior_magnitude
@@ -117,41 +118,30 @@ def plane_system(p: BoundaryPoint, j: int) -> PlaneSystem:
     return PlaneSystem(pivot=i, j=j, ks=ks, coeffs=coeffs)
 
 
-def _tangent_components(p: BoundaryPoint, system: PlaneSystem) -> list[expr.Expression]:
-    """Symbolic components of the intersection-curve tangent.
+def _tangent_weights(system: PlaneSystem, n: int) -> np.ndarray:
+    """Constant matrix W with Tan = W . grad f, so that d Tan / dx = H . W^T.
 
-    Each component is a linear combination of the partials of f with constant
-    weights, the weights being signed minors of the constant plane rows.
+    Expanding the generalized cross product along the f row gives, for
+    m < c (1-based), W[m, c] = (-1)^(m+c+1) det(plane rows without columns
+    m and c).  W is antisymmetric (Tan . grad f = 0 for every gradient), so
+    only these n(n-1)/2 minors are computed, in one stacked determinant.
+    For n = 2, Tan = (-f_2, f_1).
     """
-    n = p.body.n
-    body = p.body
     if n == 2:
-        return [expr.Neg(body.partial(2)), body.partial(1)]
-    rows = system.gradient_rows(n)
-    comps: list[expr.Expression] = []
-    for m in range(1, n + 1):
-        columns = [c for c in range(1, n + 1) if c != m]
-        terms: list[expr.Expression] = []
-        for t, c in enumerate(columns):
-            minor_cols = [col for col in columns if col != c]
-            minor = np.array([[row[col - 1] for col in minor_cols] for row in rows])
-            w = float(determinant(minor))
-            if (1 + m + t) % 2 == 1:  # (-1)^(1+m) * (-1)^t
-                w = -w
-            if w != 0.0:
-                terms.append(expr.Mul(expr.Number(w), body.partial(c)))
-        if not terms:
-            comps.append(expr.Number(0.0))
-        else:
-            total = terms[0]
-            for term in terms[1:]:
-                total = expr.Add(total, term)
-            comps.append(total)
-    return comps
+        return np.array([[0.0, -1.0], [1.0, 0.0]])
+    rows = np.array(system.gradient_rows(n))
+    upper = np.triu_indices(n, 1)
+    kept = [[col for col in range(n) if col != m and col != c] for m, c in zip(*upper)]
+    minors = rows[:, kept].transpose(1, 0, 2)  # (pairs, n-2, n-2)
+    signs = np.where((upper[0] + upper[1]) % 2 == 0, -1.0, 1.0)
+    w = np.zeros((n, n))
+    w[upper] = signs * determinant(minors)
+    return w - w.T
 
 
-def _evaluate_tangent(p: BoundaryPoint, comps: list[expr.Expression]) -> np.ndarray:
-    tan = np.array([expr.evaluate(c, p.point) for c in comps])
+def _tangent(p: BoundaryPoint, w: np.ndarray) -> np.ndarray:
+    # grad f evaluated afresh from the body, not read from p.grad
+    tan = w @ p.body.gradient(p.point)
     gnorm = float(np.linalg.norm(p.grad))
     tnorm = float(np.linalg.norm(tan))
     if not np.isfinite(tnorm) or tnorm <= 1e-12 * (1.0 + gnorm * gnorm):
@@ -168,23 +158,19 @@ def goldman_tangent(p: BoundaryPoint, system: PlaneSystem) -> np.ndarray:
     Raises:
         DegenerateTangentError: the tangent vector vanishes.
     """
-    return _evaluate_tangent(p, _tangent_components(p, system))
+    return _tangent(p, _tangent_weights(system, p.body.n))
 
 
 def goldman_curvature_general(p: BoundaryPoint, system: PlaneSystem) -> float:
     """Curve curvature via the generalized cross product and its derivatives.
 
-    Differentiates the symbolic tangent components, forms the acceleration
-    Tan . grad Tan, and returns |accel ^ Tan| / |Tan|^3.
+    The tangent's Jacobian d Tan_c / d x_r is (H . W^T)[r, c] with H the
+    Hessian at p, exactly; the acceleration is Tan . grad Tan and the result
+    |accel ^ Tan| / |Tan|^3.
     """
-    comps = _tangent_components(p, system)
-    tan = _evaluate_tangent(p, comps)
-    n = p.body.n
-    jac = np.empty((n, n))  # jac[r, c] = d Tan_c / d x_r at the point
-    for c in range(n):
-        for r in range(1, n + 1):
-            jac[r - 1, c] = expr.evaluate(expr.differentiate(comps[c], r), p.point)
-    accel = tan @ jac
+    w = _tangent_weights(system, p.body.n)
+    tan = _tangent(p, w)
+    accel = tan @ (p.hess @ w.T)
     tnorm = float(np.linalg.norm(tan))
     return exterior_magnitude(accel, tan) / tnorm**3
 

@@ -1,12 +1,14 @@
 """Dense kernels for small vectors and matrices (n <= 16).
 
-determinant        -- LU with partial pivoting
+determinant        -- LAPACK LU with partial pivoting, one matrix or a stack
 exterior_magnitude -- wedge-product magnitude from the 2x2 minors
 orthonormalize     -- modified Gram-Schmidt (two passes)
-sym_eigen          -- cyclic Jacobi rotations, eigenvalues ascending
+sym_eigen          -- LAPACK symmetric eigensolver, eigenvalues ascending
 
-All tolerances are scale-relative (multiplied by the largest absolute
-entry) so badly scaled inputs behave the same as unit-scale ones.
+determinant and sym_eigen are thin checked wrappers over numpy.linalg; a
+LAPACK failure surfaces as a typed NumericalError.  All tolerances are
+scale-relative (multiplied by the largest absolute entry) so badly scaled
+inputs behave the same as unit-scale ones.
 """
 
 from __future__ import annotations
@@ -15,34 +17,28 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSymmetricError, RankDeficientError
+from .errors import (
+    DimensionMismatchError,
+    NoConvergenceError,
+    NonFiniteValueError,
+    NotSymmetricError,
+    RankDeficientError,
+)
 
 __all__ = ["determinant", "exterior_magnitude", "orthonormalize", "sym_eigen"]
 
 
-def determinant(a) -> float:
-    """Determinant by LU factorization with partial pivoting."""
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def determinant(a):
+    """Determinant by LAPACK's LU with partial pivoting (``numpy.linalg.det``).
+
+    A single square matrix gives a float; a stack of shape (..., k, k) gives
+    the array of its determinants, computed in one call.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    sign = 1.0
-    for col in range(n - 1):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[p, col] == 0.0:
-            return 0.0
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            sign = -sign
-        for row in range(col + 1, n):
-            m = a[row, col] / a[col, col]
-            a[row, col + 1:] -= m * a[col, col + 1:]
-    det = sign
-    for k in range(n):
-        det *= a[k, k]
-    return float(det)
+    det = np.linalg.det(a)
+    return float(det) if a.ndim == 2 else det
 
 
 def exterior_magnitude(u, v) -> float:
@@ -95,58 +91,30 @@ def orthonormalize(vs) -> list[np.ndarray]:
 
 
 def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by the cyclic Jacobi method.
+    """Eigen-decomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues ascending, matrix whose COLUMNS are the matching
-    eigenvectors).  Sweeps run until the off-diagonal Frobenius mass falls
-    below 1e-14 * maxAbs(a).
+    eigenvectors).  Eigenvectors are unique only up to sign (and rotation
+    within a repeated eigenvalue's eigenspace).
+
+    Raises:
+        NonFiniteValueError: a has an inf or nan entry (LAPACK would return
+            nan eigenvalues without complaint).
+        NotSymmetricError: a and its transpose differ by more than
+            1e-12 * maxAbs(a).
+        NoConvergenceError: LAPACK reports that the eigensolver did not
+            converge.
     """
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    k = a.shape[0]
-    if k == 0:
-        return np.empty(0), np.empty((0, 0))
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(k), np.eye(k)
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    if not np.isfinite(a).all():
+        raise NonFiniteValueError("matrix has non-finite entries", location="matrix")
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if float(np.max(np.abs(a - a.T), initial=0.0)) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")
-    a = 0.5 * (a + a.T)  # fold roundoff asymmetry
-    vecs = np.eye(k)
-    tol = 1e-14 * scale
-    for _sweep in range(100):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off <= tol:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # similarity rotation in the (p,q) plane, columns then rows
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], vecs[:, order]
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # fold roundoff asymmetry
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from None
+    return vals, vecs

@@ -34,14 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import BoundaryPoint, in_tangent_hyperplane
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    NoBoundaryIntersectionError,
-    NotTangentError,
-    ZeroDirectionError,
-)
+from .body import BoundaryPoint, check_direction
+from .errors import InputError, NoBoundaryIntersectionError
 
 __all__ = [
     "ModulusSample", "GammaEstimate",
@@ -79,17 +73,8 @@ class GammaEstimate:
 
 def _section_basis(p: BoundaryPoint, u) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (e_t, e_n) of the section plane span{u, grad}."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] != p.body.n:
-        raise DimensionMismatchError(
-            f"direction must have length {p.body.n}, got shape {u.shape}"
-        )
-    unorm = float(np.linalg.norm(u))
-    if unorm == 0.0:
-        raise ZeroDirectionError("section plane of the zero direction is not defined")
-    if not in_tangent_hyperplane(p, u):
-        raise NotTangentError("direction is not tangent at the point")
-    e_t = u / unorm
+    v = check_direction(p, u)
+    e_t = v / float(np.linalg.norm(v))
     w = p.grad - float(np.dot(p.grad, e_t)) * e_t
     e_n = w / float(np.linalg.norm(w))
     return e_t, e_n

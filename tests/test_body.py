@@ -1,6 +1,7 @@
 """Body construction, boundary validation, tangent frames and the gauge."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ def test_validate_rejects_overflowing_point(f, x, what):
     assert exc.value.exit_code == 3
 
 
+def test_validate_rejects_overflowing_dual_without_warning():
+    # pairing = 5e-324 passes the positivity check, but grad / pairing is inf
+    b = make_body({"n": 2, "f": "x2 - 5e-324", "delta": 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError) as exc:
+            validate_point(b, [0.0, 5e-324])
+        assert exc.value.location == "dual"
+        with pytest.raises(NonFiniteValueError):
+            validate_point(make_body({"n": 2, "f": "1e160*x1 - 1e160 + x2", "delta": 0.5}),
+                           [1.0, 0.5])
+
+
 def test_validate_rejects_vanishing_gradient():
     # boundary point (1, 0) of {-(x1-1)^2 <= 0} has zero gradient
     b = make_body({"n": 2, "f": "-(x1 - 1)^2", "delta": 0.5})
@@ -196,6 +210,14 @@ def test_in_tangent_hyperplane_checks(disk_point):
     assert not in_tangent_hyperplane(disk_point, [0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
         in_tangent_hyperplane(disk_point, [1.0])
+
+
+def test_in_tangent_hyperplane_is_scale_free(disk_point):
+    assert in_tangent_hyperplane(disk_point, [0.0, 1e300])
+    assert in_tangent_hyperplane(disk_point, [1e-310, 1e300])
+    assert not in_tangent_hyperplane(disk_point, [1e300, 1e300])
+    assert not in_tangent_hyperplane(disk_point, [0.0, math.inf])
+    assert not in_tangent_hyperplane(disk_point, [0.0, math.nan])
 
 
 # ---------------------------------------------------------------- gauge

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dircurv
 from dircurv.cli import run
 
 SPHERE = {"n": 3, "f": "x1^2 + x2^2 + x3^2 - 4", "delta": 0.5}
@@ -194,6 +198,52 @@ def test_overflowing_point_is_numerical_error(body_file, capsys):
     err = first_json(out)["error"]
     assert err["code"] == "non_finite_value"
     assert err["location"] == "f"
+
+
+# the gradient norm overflows although its entries do not
+STEEP = {"n": 2, "f": "1e160*x1 - 1e160 + x2", "delta": 0.5}
+
+
+@pytest.mark.parametrize("body,argv", [
+    (DISK, ["report", "--point", "1e200,0"]),
+    (DISK, ["report", "--point", "1,0", "--dir", "1e300,1e300"]),
+    (DISK, ["report", "--point", "1,0", "--dir", "0,1e300"]),
+    (DISK, ["gauge", "--point", "1e308,1e308"]),
+    (STEEP, ["report", "--point", "1,0.5"]),
+])
+def test_overflow_prints_nothing_on_stderr(body_file, body, argv):
+    # a fresh interpreter, so that warnings reach stderr as they would for a user
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dircurv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [argv[0], "--body", body_file(body), *argv[1:]]
+    proc = subprocess.run([sys.executable, "-m", "dircurv", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1
+
+
+def test_huge_non_tangent_direction_is_rejected(body_file, capsys):
+    code, out = invoke(capsys, ["report", "--body", body_file(DISK), "--point", "1,0",
+                                "--dir", "1e300,1e300"])
+    assert code == 2
+    assert first_json(out)["error"]["code"] == "not_tangent"
+
+
+def test_huge_tangent_direction_reports_unit_values(body_file, capsys):
+    path = body_file(DISK)
+    _, huge = invoke(capsys, ["report", "--body", path, "--point", "1,0", "--dir", "0,1e300"])
+    _, unit = invoke(capsys, ["report", "--body", path, "--point", "1,0", "--dir", "0,1"])
+    huge, unit = first_json(huge)["directions"][0], first_json(unit)["directions"][0]
+    assert huge.pop("direction") == [0.0, 1e300]
+    assert unit.pop("direction") == [0.0, 1.0]
+    assert huge == unit
+
+
+def test_non_finite_direction_is_input_error(body_file, capsys):
+    code, out = invoke(capsys, ["report", "--body", body_file(DISK), "--point", "1,0",
+                                "--dir", "inf,0"])
+    assert code == 2
+    assert first_json(out)["error"]["code"] == "input_error"
 
 
 def test_overflowing_literal_is_syntax_error(body_file, capsys):

@@ -27,6 +27,7 @@ from dircurv import (
 )
 from dircurv.errors import (
     DimensionMismatchError,
+    InputError,
     NegativeCurvatureError,
     NotInteriorError,
     NotTangentError,
@@ -99,6 +100,36 @@ def test_zero_direction_rejected(disk_point):
 def test_non_tangent_direction_rejected(disk_point):
     with pytest.raises(NotTangentError):
         kappa_directional(disk_point, [1.0, 1.0])
+    with pytest.raises(NotTangentError):
+        kappa_directional(disk_point, [1e300, 1e300])
+
+
+def test_non_finite_direction_rejected(disk_point):
+    for u in ([math.inf, 0.0], [0.0, math.inf], [0.0, math.nan]):
+        with pytest.raises(InputError) as exc:
+            kappa_directional(disk_point, u)
+        assert exc.value.code == "input_error"
+
+
+def test_huge_and_tiny_directions_match_their_unit_scaling(disk_point):
+    want = kappa_directional(disk_point, [0.0, 1.0])
+    for u in ([0.0, 1e300], [0.0, -1e-300], [0.0, 5e-324]):
+        dc = kappa_directional(disk_point, u)
+        assert dc.direction.tolist() == u
+        assert (dc.gamma_hat, dc.kappa_hat, dc.radius_hat) == (
+            want.gamma_hat, want.kappa_hat, want.radius_hat)
+        assert gamma_directional(disk_point, u) == want.gamma_hat
+
+
+def test_power_of_two_scaling_is_bit_exact():
+    rng = np.random.default_rng(21)
+    body, a = quadric_body(rng, 5)
+    p = validate_point(body, quadric_boundary_point(rng, a))
+    u = tangent_direction(rng, p)
+    want = kappa_directional(p, u)
+    for s in (2.0**900, 2.0**-900):
+        got = kappa_directional(p, s * u)
+        assert (got.gamma_hat, got.kappa_hat) == (want.gamma_hat, want.kappa_hat)
 
 
 def test_dimension_mismatch_rejected(disk_point):

@@ -1,11 +1,14 @@
 """Parser, differentiator and evaluator for the polynomial expression grammar."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+
+from conftest import quadric_body
 
 from dircurv import expr
 from dircurv.errors import (
@@ -322,3 +325,81 @@ def test_batch_of_leaves_is_a_fresh_array():
     var[0] = 9.0
     assert x[0, 0] == 1.0
     assert isinstance(expr.evaluate(expr.parse("x1", 1), np.array([4.0])), float)
+
+
+# ---------------------------------------------------------------- pruning
+
+
+def _size(e):
+    children = [getattr(e, a) for a in ("left", "right", "base", "child") if hasattr(e, a)]
+    return 1 + sum(_size(c) for c in children)
+
+
+def _raw_diff(e, k):
+    """The sum/product/quotient/power rules with every zero branch kept."""
+    if isinstance(e, expr.Number):
+        return expr.Number(0.0)
+    if isinstance(e, expr.Variable):
+        return expr.Number(1.0 if e.index == k else 0.0)
+    if isinstance(e, expr.Add):
+        return expr.Add(_raw_diff(e.left, k), _raw_diff(e.right, k))
+    if isinstance(e, expr.Sub):
+        return expr.Sub(_raw_diff(e.left, k), _raw_diff(e.right, k))
+    if isinstance(e, expr.Mul):
+        return expr.Add(expr.Mul(_raw_diff(e.left, k), e.right),
+                        expr.Mul(e.left, _raw_diff(e.right, k)))
+    if isinstance(e, expr.Div):
+        return expr.Div(expr.Sub(expr.Mul(_raw_diff(e.left, k), e.right),
+                                 expr.Mul(e.left, _raw_diff(e.right, k))),
+                        expr.Pow(e.right, 2))
+    if isinstance(e, expr.Pow):
+        if e.exponent == 0:
+            return expr.Number(0.0)
+        return expr.Mul(expr.Mul(expr.Number(float(e.exponent)), expr.Pow(e.base, e.exponent - 1)),
+                        _raw_diff(e.base, k))
+    return expr.Neg(_raw_diff(e.child, k))
+
+
+def test_second_partial_of_dense_quadric_does_not_grow_with_n():
+    # unpruned, d^2 f / dx1^2 of a dense quadric had 433, 1,137 and 3,051
+    # nodes at n = 3, 5 and 8; only the x1^2 term survives pruning
+    sizes = {}
+    for n in (3, 5, 8, 12):
+        body, _ = quadric_body(np.random.default_rng(n), n)
+        sizes[n] = _size(expr.differentiate(expr.differentiate(body.f, 1), 1))
+    assert sizes == {3: 9, 5: 9, 8: 9, 12: 9}
+    assert _size(_raw_diff(_raw_diff(body.f, 1), 1)) > 100 * sizes[12]
+
+
+def test_derivative_free_of_the_variable_is_a_literal_zero():
+    for text in ("x2*x3", "x2/x3 - 4", "-(x2 + x3)^3", "x2^0*x1^0"):
+        d = expr.differentiate(expr.parse(text, 3), 1)
+        assert isinstance(d, expr.Number) and d.value == 0.0
+    # the quotient rule keeps only its nonzero half
+    d = expr.differentiate(expr.parse("x2/x3", 3), 2)
+    assert isinstance(d, expr.Div) and expr.to_text(d) == "1.0*x3/x3^2"
+
+
+@given(_batch_tree, st.tuples(_batch_coord, _batch_coord, _batch_coord),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_pruned_derivative_has_the_value_of_the_unpruned_one(tree, point, k):
+    x = list(point)
+    with np.errstate(all="ignore"):
+        try:
+            want = expr.evaluate(_raw_diff(tree, k), x)
+        except DivisionByZeroError:
+            return
+    if not math.isfinite(want):
+        return  # 0*inf and 0*nan are where pruning may differ, by design
+    got = expr.evaluate(expr.differentiate(tree, k), x)
+    assert got == want  # equal up to the sign of a zero
+    assert _size(expr.differentiate(tree, k)) <= _size(_raw_diff(tree, k))
+
+
+def test_scalar_overflow_is_silent():
+    tree = expr.parse("x1^8 - x2", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expr.evaluate(tree, np.array([1e200, 0.0])) == math.inf
+        assert expr.evaluate(tree, [1e200, math.inf]) != expr.evaluate(tree, [1e200, math.inf])

@@ -17,6 +17,7 @@ from conftest import (
 
 from dircurv import (
     BoundaryPoint,
+    expr,
     goldman_curvature_closed,
     goldman_curvature_general,
     goldman_tangent,
@@ -25,6 +26,8 @@ from dircurv import (
     validate_point,
 )
 from dircurv.errors import DegenerateTangentError, InvalidIndexError
+from dircurv.goldman import _tangent_weights
+from dircurv.linalg import determinant
 
 
 def frame_vector(p, j):
@@ -209,3 +212,71 @@ def test_random_quadric_pipeline_consistency(seed):
     kap = kappa_directional(p, frame_vector(p, j)).kappa_hat
     assert rel_close(kc, 2.0 * kap, 1e-10)
     assert rel_close(kg, kc, 1e-8)
+
+
+# ---------------------------------------------------------------- weights
+
+
+def _symbolic_tangent(p, system):
+    """The retired construction: tangent components as expression trees, one
+    signed minor of the plane rows per partial of f."""
+    n = p.body.n
+    body = p.body
+    if n == 2:
+        return [expr.Neg(body.partial(2)), body.partial(1)]
+    rows = system.gradient_rows(n)
+    comps = []
+    for m in range(1, n + 1):
+        columns = [c for c in range(1, n + 1) if c != m]
+        terms = []
+        for t, c in enumerate(columns):
+            minor_cols = [col for col in columns if col != c]
+            minor = np.array([[row[col - 1] for col in minor_cols] for row in rows])
+            w = float(determinant(minor))
+            if (1 + m + t) % 2 == 1:  # (-1)^(1+m) * (-1)^t
+                w = -w
+            if w != 0.0:
+                terms.append(expr.Mul(expr.Number(w), body.partial(c)))
+        total = terms[0] if terms else expr.Number(0.0)
+        for term in terms[1:]:
+            total = expr.Add(total, term)
+        comps.append(total)
+    return comps
+
+
+def test_tangent_weights_are_antisymmetric():
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 4, 6, 9):
+        body, a = quadric_body(rng, n)
+        p = validate_point(body, quadric_boundary_point(rng, a))
+        for j in nonpivot_indices(p):
+            w = _tangent_weights(plane_system(p, j), n)
+            assert np.array_equal(w, -w.T)
+
+
+def test_hessian_jacobian_equals_retired_symbolic_jacobian(
+        sphere3_point, cylinder_point, quartic_point):
+    for p in (sphere3_point, cylinder_point, quartic_point):
+        n = p.body.n
+        for j in nonpivot_indices(p):
+            system = plane_system(p, j)
+            comps = _symbolic_tangent(p, system)
+            symbolic = np.array([[expr.evaluate(expr.differentiate(comps[c], r), p.point)
+                                  for c in range(n)] for r in range(1, n + 1)])
+            w = _tangent_weights(system, n)
+            scale = max(1.0, float(np.max(np.abs(symbolic))))
+            np.testing.assert_allclose(p.hess @ w.T, symbolic, rtol=0.0, atol=1e-15 * scale)
+            tan = [expr.evaluate(c, p.point) for c in comps]
+            np.testing.assert_allclose(goldman_tangent(p, system), tan, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_general_equals_closed_at_high_dimension(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(2):
+        body, a = quadric_body(rng, n)
+        p = validate_point(body, quadric_boundary_point(rng, a))
+        for j in nonpivot_indices(p):
+            system = plane_system(p, j)
+            ratio = goldman_curvature_general(p, system) / goldman_curvature_closed(p, system)
+            assert abs(ratio - 1.0) <= 1e-15

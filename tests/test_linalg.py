@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dircurv.errors import DimensionMismatchError, NotSymmetricError, RankDeficientError
+from dircurv.errors import (
+    DimensionMismatchError,
+    NonFiniteValueError,
+    NotSymmetricError,
+    NumericalError,
+    RankDeficientError,
+)
 from dircurv.linalg import determinant, exterior_magnitude, orthonormalize, sym_eigen
 
 
@@ -64,6 +70,19 @@ def test_determinant_row_scaling():
     b = a.copy()
     b[2] *= 3.0
     assert determinant(b) == pytest.approx(3.0 * determinant(a), rel=1e-12)
+
+
+def test_determinant_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((6, 4, 4))
+    dets = determinant(stack)
+    assert dets.shape == (6,)
+    assert dets.tolist() == [determinant(a) for a in stack]
+    assert determinant(np.empty((3, 0, 0))).tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(DimensionMismatchError):
+        determinant(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionMismatchError):
+        determinant(np.zeros(3))
 
 
 # ---------------------------------------------------------------- wedge
@@ -194,3 +213,22 @@ def test_sym_eigen_rayleigh_bounds(n, seed):
         w = rng.standard_normal(n)
         rq = (w @ a @ w) / (w @ w)
         assert vals[0] - 1e-10 * scale <= rq <= vals[-1] + 1e-10 * scale
+
+
+def test_sym_eigen_lapack_failure_is_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError) as exc:
+        sym_eigen(np.eye(3))
+    assert exc.value.code == "no_convergence"
+    assert exc.value.exit_code == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sym_eigen_rejects_non_finite_entries(bad):
+    a = np.eye(3)
+    a[1, 1] = bad
+    with pytest.raises(NonFiniteValueError):
+        sym_eigen(a)

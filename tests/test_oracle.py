@@ -89,6 +89,13 @@ def test_modulus_rejects_non_tangent(disk_point):
         modulus_bruteforce(disk_point, [1.0, 0.0], 0.1)
 
 
+def test_huge_direction_spans_the_same_section(disk_point):
+    # |u| overflows for u = (0, 1e300); the section plane must not collapse
+    want = gamma_estimate(disk_point, [0.0, 1.0])
+    assert gamma_estimate(disk_point, [0.0, 1e300]) == want
+    assert modulus_bruteforce(disk_point, [0.0, 1e300], 0.1).value == pytest.approx(0.005, rel=1e-6)
+
+
 def test_modulus_no_intersection_raises():
     # a circle of radius 3 around (1, 0) stays strictly outside the unit disk
     b = make_body({"n": 2, "f": "x1^2 + x2^2 - 1", "delta": 4.0})
