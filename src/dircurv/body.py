@@ -303,19 +303,26 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
     floating-point exhaustion, which lands well inside
     |f| <= 1e-12 * (1 + |grad f|).
 
+    The bisection walks the ray point as Python floats, ``c / lam`` per
+    coordinate: the same IEEE divisions as the array, with overflow to inf
+    silent.
+
     Raises:
+        InputError: x has a non-finite coordinate.
         RayEscapesError: no sign change inside the bracket (the ray never
             leaves the f <= 0 region, e.g. an unbounded body).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != body.n:
         raise DimensionMismatchError(f"point must have length {body.n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("point has non-finite coordinates")
     if not np.any(x):
         raise ZeroDirectionError("the gauge of the zero vector is not defined by a ray crossing")
+    xs = x.tolist()
 
     def g(lam: float) -> float:
-        with np.errstate(over="ignore"):  # a ray point past the float range is inf
-            return body.value(x / lam)
+        return body.value([c / lam for c in xs])
 
     grid = [10.0 ** e for e in range(9, -10, -1)]  # 1e9 down to 1e-9
     with np.errstate(over="ignore"):

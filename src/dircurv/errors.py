@@ -69,6 +69,18 @@ class NonIntegerExponentError(InputError):
         self.position = position
 
 
+class ExpressionTooDeepError(InputError):
+    """The text nests deeper than the parser's documented depth limit."""
+
+    code = "expression_too_deep"
+
+    def __init__(self, limit: int, position: int):
+        super().__init__(
+            f"expression nests deeper than {limit} levels (position {position})", location=position
+        )
+        self.position = position
+
+
 class DivisionByZeroError(NumericalError):
     code = "division_by_zero"
 
@@ -161,3 +173,18 @@ class DegenerateTangentError(NumericalError):
 
 class NoBoundaryIntersectionError(NumericalError):
     code = "no_boundary_intersection"
+
+
+class DiscontinuousFieldError(NumericalError):
+    """A sign change of f along a section circle closes on a point outside the
+    boundary band: f is not continuous there (a pole, say), which breaks the
+    standing hypothesis that {f = 0} is the boundary within delta."""
+
+    code = "discontinuous_field"
+
+
+class UnresolvedRadiusError(NumericalError):
+    """A sampling radius is too small for its drop to stand above the root
+    tolerance and the rounding of the boundary point's coordinates."""
+
+    code = "unresolved_radius"

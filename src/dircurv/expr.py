@@ -9,8 +9,19 @@ Grammar (authoritative):
 
 Variables are written ``x1`` .. ``xn``; ``^`` takes a non-negative integer
 literal only, which keeps the language polynomial-closed under
-differentiation.  ASTs are immutable after construction and every operation
-here is a pure function, so trees can be shared freely across threads.
+differentiation.
+
+``parse`` accepts at most ``MAX_DEPTH`` = 200 levels: the operators on the
+longest root-to-leaf path of the tree (``+ - * / ^`` and unary minus) and,
+while parsing, the open parentheses plus unary minuses around a token.
+Parse, ``differentiate`` and ``evaluate`` all recurse.  At depth 200 the
+hungriest shapes (200 nested parentheses, or evaluating the second
+derivative of a nested product or power chain) need about 810 Python
+frames, inside the default recursion limit of 1,000; a deeper text raises
+``ExpressionTooDeepError``.
+
+ASTs are immutable after construction and every operation here is a pure
+function, so trees can be shared freely across threads.
 
 ``differentiate`` applies the sum, product, quotient and power rules and
 prunes one thing only: a literal-zero derivative (``Number(0.0)``) is dropped
@@ -43,14 +54,17 @@ import numpy as np
 from .errors import (
     DivisionByZeroError,
     ExpressionSyntaxError,
+    ExpressionTooDeepError,
     NonIntegerExponentError,
     UnknownVariableError,
 )
 
 __all__ = [
     "Expression", "Number", "Variable", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
-    "parse", "differentiate", "evaluate", "to_text", "substitute",
+    "parse", "differentiate", "evaluate", "to_text", "substitute", "MAX_DEPTH",
 ]
+
+MAX_DEPTH = 200  # nesting levels ``parse`` accepts; see the module docstring
 
 
 def _wrap(value) -> "Expression":
@@ -363,9 +377,28 @@ def _tokenize(text: str, n: int) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent; each ``parse_*`` returns a node and its depth.
+
+    ``nesting`` counts the open parentheses and unary minuses around the
+    current token, which bounds the parser's own recursion; ``deeper``
+    bounds the depth of the tree it builds.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.at = 0
+        self.nesting = 0
+
+    def enter(self, tok: _Token) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExpressionTooDeepError(MAX_DEPTH, tok.position)
+
+    def deeper(self, depth: int, tok: _Token) -> int:
+        """The depth of a node over a child of the given depth, checked against the limit."""
+        if depth >= MAX_DEPTH:
+            raise ExpressionTooDeepError(MAX_DEPTH, tok.position)
+        return depth + 1
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -375,31 +408,36 @@ class _Parser:
         self.at += 1
         return tok
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
+    def parse_expr(self) -> tuple[Expression, int]:
+        node, depth = self.parse_term()
         while self.peek().kind in "+-":
-            op = self.advance().kind
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.parse_term()
+            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+            depth = self.deeper(max(depth, rhs_depth), op)
+        return node, depth
 
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Expression, int]:
+        node, depth = self.parse_factor()
         while self.peek().kind in "*/":
-            op = self.advance().kind
-            rhs = self.parse_factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.parse_factor()
+            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            depth = self.deeper(max(depth, rhs_depth), op)
+        return node, depth
 
-    def parse_factor(self) -> Expression:
+    def parse_factor(self) -> tuple[Expression, int]:
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        node = self.parse_atom()
+            op = self.advance()
+            self.enter(op)
+            child, depth = self.parse_factor()
+            self.nesting -= 1
+            return Neg(child), self.deeper(depth, op)
+        node, depth = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
-            node = Pow(node, self.parse_exponent())
-        return node
+            op = self.advance()
+            node, depth = Pow(node, self.parse_exponent()), self.deeper(depth, op)
+        return node, depth
 
     def parse_exponent(self) -> int:
         tok = self.peek()
@@ -418,30 +456,36 @@ class _Parser:
             )
         raise ExpressionSyntaxError("expected an integer exponent after '^'", tok.position)
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> tuple[Expression, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Number(tok.value)
+            return Number(tok.value), 0
         if tok.kind == "var":
             self.advance()
-            return Variable(tok.value)
+            return Variable(tok.value), 0
         if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr()
+            self.enter(self.advance())
+            node, depth = self.parse_expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise ExpressionSyntaxError("expected ')'", closing.position)
             self.advance()
-            return node
+            self.nesting -= 1
+            return node, depth
         what = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExpressionSyntaxError(f"expected a number, variable or '(', got {what}", tok.position)
 
 
 def parse(text: str, n: int) -> Expression:
-    """Parse ``text`` over variables x1..xn into an expression tree."""
+    """Parse ``text`` over variables x1..xn into an expression tree.
+
+    Raises:
+        ExpressionTooDeepError: the text nests, or its tree is, deeper than
+            ``MAX_DEPTH`` levels.
+    """
     parser = _Parser(_tokenize(text, n))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.position)

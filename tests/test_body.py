@@ -19,6 +19,7 @@ from dircurv import (
 )
 from dircurv.errors import (
     DimensionMismatchError,
+    InputError,
     InvalidBodyError,
     NonFiniteValueError,
     NonSmoothPointError,
@@ -263,6 +264,54 @@ def test_gauge_positive_homogeneity(disk_body):
     x = np.array([0.3, 0.7])
     assert rel_close(minkowski_gauge(disk_body, 3.0 * x),
                      3.0 * minkowski_gauge(disk_body, x), 1e-12)
+
+
+def _array_gauge(body, x):
+    """The retired gauge: the same scan and bisection, its ray points as ``x / lam`` arrays."""
+    x = np.asarray(x, dtype=float)
+
+    def g(lam):
+        with np.errstate(over="ignore"):
+            return body.value(x / lam)
+
+    grid = [10.0 ** e for e in range(9, -10, -1)]
+    with np.errstate(over="ignore"):
+        values = body.value(x[:, None] / np.array(grid)).tolist()
+    for i, (lam, val) in enumerate(zip(grid, values)):
+        if val == 0.0:
+            return lam
+        if i and (val > 0.0) != (values[i - 1] > 0.0):
+            lo, hi, lo_val = lam, grid[i - 1], val
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        val = g(mid)
+        if val == 0.0:
+            return mid
+        if (val > 0.0) == (lo_val > 0.0):
+            lo, lo_val = mid, val
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_gauge_equals_array_ray_bit_for_bit(disk_body, quartic_body, ellipsoid_body,
+                                             cylinder_body):
+    rng = np.random.default_rng(29)
+    for body in (disk_body, quartic_body, ellipsoid_body, sphere_body(2.0, 3)):
+        for _ in range(10):
+            x = rng.standard_normal(body.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert minkowski_gauge(body, x) == _array_gauge(body, x)
+    x = np.array([1.0, 0.5, 0.0])
+    assert minkowski_gauge(cylinder_body, x) == _array_gauge(cylinder_body, x)
+
+
+@pytest.mark.parametrize("x", [[math.inf, 0.0], [math.nan, 0.0], [1.0, -math.inf]])
+def test_gauge_rejects_non_finite_point(disk_body, x):
+    with pytest.raises(InputError):
+        minkowski_gauge(disk_body, x)
 
 
 # ---------------------------------------------------------------- direct API

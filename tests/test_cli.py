@@ -284,3 +284,36 @@ def test_missing_required_argument_exits_2(body_file, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["polish"]) == 2
+
+
+DEEP_SUM = {"n": 2, "f": " + ".join(["x1^2"] * 3000) + " + x2^2 - 1", "delta": 0.5}
+DEEP_PARENS = {"n": 2, "f": "(" * 3000 + "x1^2 + x2^2 - 1" + ")" * 3000, "delta": 0.5}
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-20])
+def test_tiny_delta_verify_prints_one_json_error(body_file, delta):
+    # a fresh interpreter, so that a traceback or warning would reach stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dircurv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["verify", "--body", body_file(dict(DISK, delta=delta)), "--point", "1,0"]
+    proc = subprocess.run([sys.executable, "-m", "dircurv", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.returncode == 3
+    assert len(proc.stdout.splitlines()) == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "unresolved_radius"
+
+
+@pytest.mark.parametrize("body,argv,error", [
+    (DISK, ["gauge", "--point", "inf,0"], "input_error"),
+    (DISK, ["gauge", "--point", "nan,0"], "input_error"),
+    (DEEP_SUM, ["report", "--point", "1,0"], "expression_too_deep"),
+    (DEEP_PARENS, ["report", "--point", "1,0"], "expression_too_deep"),
+])
+def test_bad_gauge_point_and_deep_field_are_input_errors(body_file, capsys, body, argv, error):
+    code = run([argv[0], "--body", body_file(body), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["code"] == error

@@ -14,6 +14,7 @@ from dircurv import expr
 from dircurv.errors import (
     DivisionByZeroError,
     ExpressionSyntaxError,
+    ExpressionTooDeepError,
     NonIntegerExponentError,
     UnknownVariableError,
 )
@@ -403,3 +404,42 @@ def test_scalar_overflow_is_silent():
         warnings.simplefilter("error")
         assert expr.evaluate(tree, np.array([1e200, 0.0])) == math.inf
         assert expr.evaluate(tree, [1e200, math.inf]) != expr.evaluate(tree, [1e200, math.inf])
+
+
+# ---------------------------------------------------------------- depth limit
+
+
+def _deep(shape, d):
+    """A text of the given shape that is exactly d levels deep."""
+    return {
+        "sum": " + ".join(["x1"] * (d + 1)),                        # d Adds, left-deep
+        "product": "x1*(" * (d - 1) + "x1*x2" + ")" * (d - 1),      # d Muls, nested
+        "parentheses": "(" * d + "x1 - x2" + ")" * d,               # d open parentheses
+        "negation": "-" * d + "x1",                                 # d Negs
+        "power": "(" * (d - 1) + "x1" + "^2)" * (d - 1) + "^2",     # d Pows
+    }[shape]
+
+
+SHAPES = ["sum", "product", "parentheses", "negation", "power"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_deepest_accepted_tree_parses_differentiates_and_evaluates(shape):
+    tree = expr.parse(_deep(shape, expr.MAX_DEPTH), 2)
+    second = expr.differentiate(expr.differentiate(tree, 1), 1)
+    for e in (tree, second):
+        assert math.isfinite(expr.evaluate(e, [0.5, 0.25]))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_level_deeper_is_rejected(shape):
+    with pytest.raises(ExpressionTooDeepError) as exc:
+        expr.parse(_deep(shape, expr.MAX_DEPTH + 1), 2)
+    assert exc.value.code == "expression_too_deep"
+    assert exc.value.exit_code == 2
+
+
+def test_very_deep_texts_are_rejected_without_recursing():
+    for text in (" + ".join(["x1"] * 3000), "(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"):
+        with pytest.raises(ExpressionTooDeepError):
+            expr.parse(text, 2)

@@ -22,8 +22,14 @@ from dircurv import (
     radius_containment,
     validate_point,
 )
-from dircurv.errors import InputError, NoBoundaryIntersectionError, NotTangentError
-from dircurv.oracle import _circle_roots, _section_basis
+from dircurv.errors import (
+    DiscontinuousFieldError,
+    InputError,
+    NoBoundaryIntersectionError,
+    NotTangentError,
+    UnresolvedRadiusError,
+)
+from dircurv.oracle import _circle_roots, _scan_grid, _section_basis
 
 
 # ---------------------------------------------------------------- modulus
@@ -196,7 +202,61 @@ def test_containment_raises_on_first_empty_circle():
 
 
 def _one_circle_roots(p, e_t, e_n, r, m):
-    """The scalar one-circle scan and one-bracket-at-a-time bisection."""
+    """The scalar one-circle scan and one-bracket-at-a-time Illinois regula falsi."""
+    body = p.body
+    xi = p.point
+    gnorm = float(np.linalg.norm(p.grad))
+    ftol = 1e-12 * (1.0 + gnorm)
+    band = body.tol_boundary * (1.0 + gnorm)
+
+    def at(theta):
+        return xi + r * math.cos(theta) * e_t + r * math.sin(theta) * e_n
+
+    thetas = [2.0 * math.pi * s / m for s in range(m)]
+    values = [body.value(at(th)) for th in thetas]
+    roots = []
+    is_root = [abs(v) <= ftol for v in values]
+    for s in range(m):
+        if is_root[s]:
+            roots.append(thetas[s])
+    for s in range(m):
+        s_next = (s + 1) % m
+        if is_root[s] or is_root[s_next]:
+            continue
+        va, vb = values[s], values[s_next]
+        if (va > 0.0) == (vb > 0.0):
+            continue
+        a, b = thetas[s], thetas[s] + 2.0 * math.pi / m
+        fa, fb, wa = va, vb, va
+        hit = False
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            c = b - fb * (b - a) / (fb - wa)
+            if not min(a, b) < c < max(a, b):
+                c = mid
+            fc = body.value(at(c))
+            if (fc > 0.0) != (fb > 0.0):
+                a, fa, wa = b, fb, fb
+            else:
+                wa = 0.5 * wa
+            b, fb = c, fc
+            if abs(fc) <= ftol:
+                hit = True
+                break
+        if hit or not abs(fa) < abs(fb):
+            root, f_root = b, fb
+        else:
+            root, f_root = a, fa
+        if not hit and not abs(f_root) <= band:
+            raise DiscontinuousFieldError("sign change off the boundary band")
+        roots.append(root)
+    return [at(th) for th in roots]
+
+
+def _one_circle_bisection(p, e_t, e_n, r, m):
+    """The retired root finder: one-circle scan and one-bracket-at-a-time bisection."""
     body = p.body
     xi = p.point
     ftol = 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
@@ -268,16 +328,79 @@ def test_batched_circle_roots_equal_one_circle_scan_bit_for_bit(
 
 def test_batched_bisection_across_a_pole_matches_one_circle_scan():
     # the sign change across the pole of 0.01/(x1 - 0.0513) never meets the
-    # floor, so those brackets stop when the midpoint no longer splits them
+    # floor: its bracket closes on |f| ~ 1e14, which is no boundary point
     b = make_body({"n": 2, "f": "x2 - 1 + 0.01/(x1 - 0.0513)", "delta": 0.5})
     p = validate_point(b, [0.5, 1.0 - 0.01 / (0.5 - 0.0513)])
     e_t, e_n = _section_basis(p, [1.0, 0.01 / (0.5 - 0.0513) ** 2])
-    radii = [0.3, 0.46]
-    batched = _circle_roots(p, e_t, e_n, radii, 512)
-    assert len(batched[1]) == 4
-    for r, got in zip(radii, batched):
+    got = _circle_roots(p, e_t, e_n, [0.3], 512)[0]
+    want = _one_circle_roots(p, e_t, e_n, 0.3, 512)
+    assert [eta.tobytes() for eta in got] == [eta.tobytes() for eta in want]
+    with pytest.raises(DiscontinuousFieldError) as exc:
+        _circle_roots(p, e_t, e_n, [0.3, 0.46], 512)
+    assert "radius-0.46" in exc.value.message
+    with pytest.raises(DiscontinuousFieldError):
+        _one_circle_roots(p, e_t, e_n, 0.46, 512)
+    with pytest.raises(DiscontinuousFieldError):
+        modulus_bruteforce(p, [1.0, 0.01 / (0.5 - 0.0513) ** 2], 0.46)
+
+
+def test_bracket_without_a_hit_returns_its_endpoint_in_the_band():
+    # x2 + 1e8 rounds to steps of 1.5e-8, so f jumps from -1.4e-8 to +1e-9 across
+    # x2 = 1 and never meets the floor 2e-12; the +1e-9 side lies in the band 2e-9
+    b = make_body({"n": 2, "f": "x2 + 100000000 - 100000001 + 1e-9", "delta": 0.5})
+    p = validate_point(b, [0.0, 1.0])
+    e_t, e_n = _section_basis(p, [1.0, 0.0])
+    radii = [0.1, 0.3]
+    for r, got in zip(radii, _circle_roots(p, e_t, e_n, radii, 512)):
         want = _one_circle_roots(p, e_t, e_n, r, 512)
         assert [eta.tobytes() for eta in got] == [eta.tobytes() for eta in want]
+        assert [b.value(eta) for eta in got] == [1e-9, 1e-9]
+
+
+def test_roots_lie_on_their_circle_within_the_floor(
+        disk_point, sphere3_point, cylinder_point, quartic_point):
+    radii = [0.01, 0.0625, 0.1, 0.23, 0.35]
+    for p, u in _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
+        ftol = 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
+        e_t, e_n = _section_basis(p, u)
+        for r, etas in zip(radii, _circle_roots(p, e_t, e_n, radii, 512)):
+            assert etas
+            for eta in etas:
+                assert abs(p.body.value(eta)) <= ftol
+                assert abs(float(np.linalg.norm(eta - p.point)) - r) <= 1e-12 * r
+
+
+def test_illinois_roots_match_retired_bisection(
+        disk_point, sphere3_point, cylinder_point, quartic_point):
+    radii = [0.01, 0.0625, 0.1, 0.23, 0.35]
+    worst = 0.0
+    for p, u in _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
+        e_t, e_n = _section_basis(p, u)
+        for r, got in zip(radii, _circle_roots(p, e_t, e_n, radii, 512)):
+            want = _one_circle_bisection(p, e_t, e_n, r, 512)
+            assert len(got) == len(want)
+            for eta, ref in zip(got, want):
+                worst = max(worst, float(np.linalg.norm(eta - ref)))
+    assert worst <= 1e-11
+
+
+def test_scan_grid_is_read_only():
+    for column in _scan_grid(96):
+        assert column.shape == (96,)
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    assert _scan_grid(96) is _scan_grid(96)
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-20, 1e-6])
+def test_gamma_estimate_rejects_unresolvable_radius(delta):
+    # at |xi| = 1 the drops of radii below ~2e-6 sink under the root tolerance
+    b = make_body({"n": 2, "f": "x1^2 + x2^2 - 1", "delta": delta})
+    p = validate_point(b, [1.0, 0.0])
+    with pytest.raises(UnresolvedRadiusError):
+        gamma_estimate(p, [0.0, 1.0])
+    with pytest.raises(UnresolvedRadiusError):
+        radius_containment(p, [0.0, 1.0], delta / 4.0)
 
 
 def test_gamma_estimate_quotients_equal_single_radius_samples(disk_point, quartic_point):
