@@ -25,6 +25,7 @@ hyperplane itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -47,11 +48,17 @@ from .errors import (
 from .linalg import orthonormalize
 
 __all__ = [
-    "ImplicitBody", "BoundaryPoint", "TangentFrame",
+    "MAX_DIMENSION", "ImplicitBody", "BoundaryPoint", "TangentFrame",
     "validate_point", "tangent_frame", "in_tangent_hyperplane", "check_direction",
+    "require_finite",
     "minkowski_gauge",
     "body_from_dict",
 ]
+
+# Largest accepted dimension n.  A diagonal quadric validates in about 0.2 s
+# at n = 128, and the Hessian grows as n^2, so a larger n is a mistake, not a
+# body; it is refused before anything of size n is allocated.
+MAX_DIMENSION = 256
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class ImplicitBody:
     """The solid F in R^n described by the field f, with 0 interior.
 
     Attributes:
-        n: ambient dimension, >= 2.
+        n: ambient dimension, 2 <= n <= MAX_DIMENSION.
         f: expression tree of the defining field.
         delta: locality radius within which {f = 0} is the boundary of F.
         tol_boundary: half-width of the boundary membership band.
@@ -75,6 +82,8 @@ class ImplicitBody:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidBodyError(f"dimension must be >= 2, got {self.n}")
+        if self.n > MAX_DIMENSION:
+            raise InvalidBodyError(f"dimension must be <= {MAX_DIMENSION}, got {self.n}")
         if not (self.delta > 0.0 and np.isfinite(self.delta)):
             raise InvalidBodyError(f"locality radius must be positive, got {self.delta}")
         origin_value = expr.evaluate(self.f, np.zeros(self.n))
@@ -159,10 +168,11 @@ class TangentFrame:
     ortho: tuple[np.ndarray, ...]
 
 
-def _require_finite(what: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+def require_finite(what: str, value) -> None:
+    """Raise ``NonFiniteValueError`` naming ``what`` unless the float or every array entry is finite."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise NonFiniteValueError(
-            f"{what} is not finite at the point: {value!r}", location=what
+            f"{what} is not finite at the point: {np.asarray(value).tolist()!r}", location=what
         )
 
 
@@ -192,10 +202,10 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
         raise InputError("point has non-finite coordinates")
     grad = body.gradient(x)
     fval = body.value(x)
-    _require_finite("f", fval)
-    _require_finite("gradient", grad)
+    require_finite("f", fval)
+    require_finite("gradient", grad)
     gnorm = float(np.linalg.norm(grad))
-    _require_finite("gradient norm", gnorm)  # an inf norm would void the band test
+    require_finite("gradient norm", gnorm)  # an inf norm would void the band test
     if abs(fval) > body.tol_boundary * (1.0 + gnorm):
         raise NotOnBoundaryError(
             f"f(x) = {fval!r} is outside the boundary band {body.tol_boundary} * (1 + |grad|)"
@@ -203,7 +213,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
     if gnorm <= body.tol_pivot:
         raise NonSmoothPointError(f"gradient norm {gnorm!r} vanishes at the point")
     pairing = float(np.dot(x, grad))
-    _require_finite("pairing", pairing)
+    require_finite("pairing", pairing)
     if pairing <= 0.0:
         raise OrientationViolationError(
             f"<x, grad f(x)> = {pairing!r} must be positive (is the origin interior here?)"
@@ -215,9 +225,9 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
             pivot = i + 1
             break
     dual = grad / pairing
-    _require_finite("dual", dual)  # a subnormal pairing overflows it
+    require_finite("dual", dual)  # a subnormal pairing overflows it
     hess = body.hessian(x)
-    _require_finite("hessian", hess)
+    require_finite("hessian", hess)
     return BoundaryPoint(
         body=body, point=x.copy(), grad=grad, hess=hess,
         pivot=pivot, dual=dual, pairing=pairing,
@@ -311,6 +321,8 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         InputError: x has a non-finite coordinate.
         RayEscapesError: no sign change inside the bracket (the ray never
             leaves the f <= 0 region, e.g. an unbounded body).
+        NonFiniteValueError: the crossing x/lambda has a non-finite
+            coordinate, or f is not finite there.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != body.n:
@@ -324,13 +336,22 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
     def g(lam: float) -> float:
         return body.value([c / lam for c in xs])
 
+    def crossing(lam: float) -> float:
+        boundary = [c / lam for c in xs]
+        if not (all(map(math.isfinite, boundary)) and math.isfinite(body.value(boundary))):
+            raise NonFiniteValueError(
+                f"the ray crosses f = 0 at lambda = {lam!r}, where x/lambda or f is not finite",
+                location="boundary_point",
+            )
+        return lam
+
     grid = [10.0 ** e for e in range(9, -10, -1)]  # 1e9 down to 1e-9
     with np.errstate(over="ignore"):
         values = body.value(x[:, None] / np.array(grid)).tolist()  # one array pass
     lo = hi = None
     for i, (lam, val) in enumerate(zip(grid, values)):
         if val == 0.0:
-            return lam
+            return crossing(lam)
         if i and (val > 0.0) != (values[i - 1] > 0.0):
             lo, hi = lam, grid[i - 1]  # g(lo), g(hi) have opposite signs
             lo_val = val
@@ -345,13 +366,13 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
             break
         val = g(mid)
         if val == 0.0:
-            return mid
+            return crossing(mid)
         if (val > 0.0) == (lo_val > 0.0):
             lo = mid
             lo_val = val
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return crossing(0.5 * (lo + hi))
 
 
 _TOLERANCE_KEYS = {"boundary", "pivot"}

@@ -124,9 +124,8 @@ def _directions(args, p):
     ]
 
 
-def _cmd_report(args) -> dict:
-    body, digest = _load_body(args.body)
-    p = validate_point(body, _parse_vector(args.point, "point"))
+def _cmd_report(args, body: ImplicitBody, x: np.ndarray) -> dict:
+    p = validate_point(body, x)
     entries = []
     for u, source, j in _directions(args, p):
         dc = kappa_directional(p, u)
@@ -140,10 +139,6 @@ def _cmd_report(args) -> dict:
             "convexity_warning": dc.convexity_warning,
         })
     return {
-        "command": "report",
-        "body_sha256": digest,
-        "n": body.n,
-        "point": p.point,
         "f_value": body.value(p.point),
         "gradient": p.grad,
         "pairing": p.pairing,
@@ -153,15 +148,10 @@ def _cmd_report(args) -> dict:
     }
 
 
-def _cmd_extrema(args) -> dict:
-    body, digest = _load_body(args.body)
-    p = validate_point(body, _parse_vector(args.point, "point"))
+def _cmd_extrema(args, body: ImplicitBody, x: np.ndarray) -> dict:
+    p = validate_point(body, x)
     ex = extrema(p)
     return {
-        "command": "extrema",
-        "body_sha256": digest,
-        "n": body.n,
-        "point": p.point,
         "pivot": p.pivot,
         "kappa_min": ex.kappa_min,
         "kappa_max": ex.kappa_max,
@@ -170,9 +160,8 @@ def _cmd_extrema(args) -> dict:
     }
 
 
-def _cmd_goldman(args) -> dict:
-    body, digest = _load_body(args.body)
-    p = validate_point(body, _parse_vector(args.point, "point"))
+def _cmd_goldman(args, body: ImplicitBody, x: np.ndarray) -> dict:
+    p = validate_point(body, x)
     system = plane_system(p, args.j)
     tan = goldman_tangent(p, system)
     k_general = goldman_curvature_general(p, system)
@@ -183,10 +172,6 @@ def _cmd_goldman(args) -> dict:
     dc = kappa_directional(p, u)
     ratio = k_general / k_closed if k_closed != 0.0 else None
     return {
-        "command": "goldman",
-        "body_sha256": digest,
-        "n": body.n,
-        "point": p.point,
         "pivot": p.pivot,
         "j": args.j,
         "tangent": tan,
@@ -197,9 +182,8 @@ def _cmd_goldman(args) -> dict:
     }
 
 
-def _cmd_verify(args) -> dict:
-    body, digest = _load_body(args.body)
-    p = validate_point(body, _parse_vector(args.point, "point"))
+def _cmd_verify(args, body: ImplicitBody, x: np.ndarray) -> dict:
+    p = validate_point(body, x)
     checks = []
     warnings: list[dict] = []
 
@@ -223,26 +207,13 @@ def _cmd_verify(args) -> dict:
             "rel_error": abs_error / scale if scale > 0.0 else 0.0,
             "quotients": list(est.quotients),
         })
-    return {
-        "command": "verify",
-        "body_sha256": digest,
-        "n": body.n,
-        "point": p.point,
-        "checks": checks,
-        "warnings": warnings,
-    }
+    return {"checks": checks, "warnings": warnings}
 
 
-def _cmd_gauge(args) -> dict:
-    body, digest = _load_body(args.body)
-    x = _parse_vector(args.point, "point")
+def _cmd_gauge(args, body: ImplicitBody, x: np.ndarray) -> dict:
     lam = minkowski_gauge(body, x)
     boundary = x / lam
     return {
-        "command": "gauge",
-        "body_sha256": digest,
-        "n": body.n,
-        "point": x,
         "gauge": lam,
         "boundary_point": boundary,
         "f_at_boundary": body.value(boundary),
@@ -294,7 +265,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        envelope = _HANDLERS[args.command](args)
+        body, digest = _load_body(args.body)
+        x = _parse_vector(args.point, "point")
+        envelope = {"command": args.command, "body_sha256": digest, "n": body.n, "point": x}
+        envelope.update(_HANDLERS[args.command](args, body, x))
     except DircurvError as exc:
         print(json.dumps({"error": exc.as_json_dict()}, separators=(",", ":")))
         return exc.exit_code

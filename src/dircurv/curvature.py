@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .body import BoundaryPoint, ImplicitBody, TangentFrame, check_direction, tangent_frame
+from .body import (
+    BoundaryPoint, ImplicitBody, TangentFrame, check_direction, require_finite, tangent_frame,
+)
 from .errors import DimensionMismatchError, NegativeCurvatureError, NotInteriorError
 from .linalg import sym_eigen
 
@@ -52,7 +54,9 @@ class DirectionalCurvature:
         gamma_hat: gauge-relative curvature.
         kappa_hat: boundary curvature (gamma_hat / |dual|).
         radius_hat: 1 / (2 kappa_hat); +inf when kappa_hat == 0, and the
-            signed (negative) value when kappa_hat < 0.
+            signed (negative) value when kappa_hat < 0.  It is +inf or -inf
+            too when |kappa_hat| is below about 2.8e-309, where the radius
+            exceeds the float range.
         convexity_warning: True when kappa_hat is negative beyond roundoff,
             which contradicts convexity of the body near the point.
     """
@@ -74,24 +78,37 @@ class CurvatureExtrema:
     dir_max: np.ndarray
 
 
+@np.errstate(all="ignore")  # overflow is reported by the finiteness checks
 def _quadratic_form(p: BoundaryPoint, u: np.ndarray) -> float:
     return float(np.dot(u, p.hess @ u))
 
 
 def gamma_directional(p: BoundaryPoint, u) -> float:
-    """Gauge-relative curvature gamma_hat(u) = <H u, u> / (2 <xi, grad> |u|^2)."""
+    """Gauge-relative curvature gamma_hat(u) = <H u, u> / (2 <xi, grad> |u|^2).
+
+    Raises:
+        NonFiniteValueError: gamma_hat overflows.
+    """
     v = check_direction(p, u)
-    return _quadratic_form(p, v) / (2.0 * p.pairing * float(np.dot(v, v)))
+    gamma = _quadratic_form(p, v) / (2.0 * p.pairing * float(np.dot(v, v)))
+    require_finite("gamma_hat", gamma)
+    return gamma
 
 
 def kappa_directional(p: BoundaryPoint, u) -> DirectionalCurvature:
-    """Boundary curvature of the planar section through u, with its radius."""
+    """Boundary curvature of the planar section through u, with its radius.
+
+    Raises:
+        NonFiniteValueError: gamma_hat or kappa_hat overflows.
+    """
     v = check_direction(p, u)
     quad = _quadratic_form(p, v)
     usq = float(np.dot(v, v))
     gamma = quad / (2.0 * p.pairing * usq)
     gnorm = float(np.linalg.norm(p.grad))
     kappa = quad / (2.0 * gnorm * usq)
+    require_finite("gamma_hat", gamma)
+    require_finite("kappa_hat", kappa)
     if kappa == 0.0:
         radius = math.inf
     else:
@@ -123,6 +140,7 @@ def curvature_radius(p: BoundaryPoint, u) -> float:
     return dc.radius_hat
 
 
+@np.errstate(all="ignore")  # overflow is reported by the finiteness checks
 def extrema(p: BoundaryPoint, frame: TangentFrame | None = None) -> CurvatureExtrema:
     """Extremal kappa_hat over the tangent hyperplane, with attaining directions.
 
@@ -130,6 +148,9 @@ def extrema(p: BoundaryPoint, frame: TangentFrame | None = None) -> CurvatureExt
     as M[a, b] = <H q_a, q_b>; its extreme eigenvalues divided by 2 |grad|
     are the extreme curvatures, and the eigenvectors pull back to unit
     tangent directions.
+
+    Raises:
+        NonFiniteValueError: M or an extreme curvature overflows.
     """
     if frame is None:
         frame = tangent_frame(p)
@@ -143,9 +164,12 @@ def extrema(p: BoundaryPoint, frame: TangentFrame | None = None) -> CurvatureExt
         d = vecs[:, col] @ q
         return d / float(np.linalg.norm(d))
 
+    kappa_min, kappa_max = vals[0] * scale, vals[-1] * scale
+    require_finite("kappa_min", kappa_min)
+    require_finite("kappa_max", kappa_max)
     return CurvatureExtrema(
-        kappa_min=vals[0] * scale,
-        kappa_max=vals[-1] * scale,
+        kappa_min=kappa_min,
+        kappa_max=kappa_max,
         dir_min=pull_back(0),
         dir_max=pull_back(-1),
     )

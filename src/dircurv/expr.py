@@ -20,8 +20,10 @@ derivative of a nested product or power chain) need about 810 Python
 frames, inside the default recursion limit of 1,000; a deeper text raises
 ``ExpressionTooDeepError``.
 
-ASTs are immutable after construction and every operation here is a pure
-function, so trees can be shared freely across threads.
+Nodes are immutable: each ``__init__`` sets its slots once through
+``object.__setattr__``, and ``Expression.__setattr__`` refuses every later
+assignment.  Every operation here is a pure function, so trees can be
+shared freely across threads.
 
 ``differentiate`` applies the sum, product, quotient and power rules and
 prunes one thing only: a literal-zero derivative (``Number(0.0)``) is dropped
@@ -67,12 +69,6 @@ __all__ = [
 MAX_DEPTH = 200  # nesting levels ``parse`` accepts; see the module docstring
 
 
-def _wrap(value) -> "Expression":
-    if isinstance(value, Expression):
-        return value
-    return Number(value)
-
-
 def _is_zero(e: "Expression") -> bool:
     return isinstance(e, Number) and e.value == 0.0
 
@@ -105,35 +101,8 @@ class Expression:
     __slots__ = ()
     _prec = 5  # atoms; binary nodes override
 
-    def __add__(self, other):
-        return Add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return Add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return Sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return Mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return Div(_wrap(other), self)
-
-    def __pow__(self, exponent):
-        return Pow(self, exponent)
-
-    def __neg__(self):
-        return Neg(self)
+    def __setattr__(self, name, value):
+        raise AttributeError("expression nodes are immutable")
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -154,9 +123,6 @@ class Number(Expression):
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def _eval(self, x):
         return self.value
 
@@ -175,9 +141,6 @@ class Variable(Expression):
     def __init__(self, index: int):
         object.__setattr__(self, "index", int(index))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def _eval(self, x):
         return x[self.index - 1]
 
@@ -194,9 +157,6 @@ class _Binary(Expression):
     def __init__(self, left: Expression, right: Expression):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
 
 
 class Add(_Binary):
@@ -276,9 +236,6 @@ class Pow(Expression):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
-
     def _eval(self, x):
         # binary exponentiation on floats: deterministic and libm-free
         result = 1.0
@@ -308,9 +265,6 @@ class Neg(Expression):
 
     def __init__(self, child: Expression):
         object.__setattr__(self, "child", child)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expression nodes are immutable")
 
     def _eval(self, x):
         return -self.child._eval(x)

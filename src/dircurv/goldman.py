@@ -34,6 +34,12 @@ to the closed form
 
 implemented separately so the two routes can be compared numerically.
 
+Both curvatures are homogeneous of degree zero in (grad f, H), so they do not
+depend on the scale of f.  They, and the test for a vanishing tangent, work
+on grad f and H multiplied by the power of two nearest 1/|grad f|: an exact
+scaling (barring underflow) that leaves every result bit as it was while
+|Tan|^3 and the closed form's products stay finite for fields of any scale.
+
 Tangent orientation is pinned only up to sign: the cofactor expansion and the
 closed-form magnitude agree in length, but their sign conventions differ for
 some (i, j) orderings, so all comparisons here are magnitude comparisons.
@@ -41,11 +47,12 @@ some (i, j) orderings, so all comparisons here are magnitude comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .body import BoundaryPoint
+from .body import BoundaryPoint, require_finite
 from .errors import DegenerateTangentError, InvalidIndexError
 from .linalg import determinant, exterior_magnitude
 
@@ -139,51 +146,79 @@ def _tangent_weights(system: PlaneSystem, n: int) -> np.ndarray:
     return w - w.T
 
 
-def _tangent(p: BoundaryPoint, w: np.ndarray) -> np.ndarray:
-    # grad f evaluated afresh from the body, not read from p.grad
-    tan = w @ p.body.gradient(p.point)
+def _unit_scale(gnorm: float) -> float:
+    """The power of two nearest 1/gnorm, within the normal float range."""
+    return math.ldexp(1.0, -min(max(round(math.log2(gnorm)), -1023), 1022))
+
+
+def _tangent(p: BoundaryPoint, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Tan at p for the field s f, and s = ``_unit_scale(|grad f|)``: |grad (s f)| is near 1."""
     gnorm = float(np.linalg.norm(p.grad))
+    s = _unit_scale(gnorm)
+    # grad f evaluated afresh from the body, not read from p.grad
+    tan = w @ (s * p.body.gradient(p.point))
     tnorm = float(np.linalg.norm(tan))
-    if not np.isfinite(tnorm) or tnorm <= 1e-12 * (1.0 + gnorm * gnorm):
+    if not np.isfinite(tnorm) or tnorm <= 1e-12 * (1.0 + (s * gnorm) ** 2):
         raise DegenerateTangentError(
             "intersection-curve tangent vanishes; the cutting planes do not "
             "select a curve through the point"
         )
-    return tan
+    return tan, s
 
 
+@np.errstate(all="ignore")  # overflow is reported by the finiteness checks
 def goldman_tangent(p: BoundaryPoint, system: PlaneSystem) -> np.ndarray:
     """Numeric tangent of the intersection curve at p (orientation up to sign).
 
     Raises:
         DegenerateTangentError: the tangent vector vanishes.
+        NonFiniteValueError: the tangent overflows.
     """
-    return _tangent(p, _tangent_weights(system, p.body.n))
+    tan, s = _tangent(p, _tangent_weights(system, p.body.n))
+    tan = tan / s
+    require_finite("tangent", tan)
+    return tan
 
 
+@np.errstate(all="ignore")
 def goldman_curvature_general(p: BoundaryPoint, system: PlaneSystem) -> float:
     """Curve curvature via the generalized cross product and its derivatives.
 
     The tangent's Jacobian d Tan_c / d x_r is (H . W^T)[r, c] with H the
     Hessian at p, exactly; the acceleration is Tan . grad Tan and the result
     |accel ^ Tan| / |Tan|^3.
+
+    Raises:
+        DegenerateTangentError: the tangent vector vanishes.
+        NonFiniteValueError: the curvature overflows.
     """
     w = _tangent_weights(system, p.body.n)
-    tan = _tangent(p, w)
-    accel = tan @ (p.hess @ w.T)
+    tan, s = _tangent(p, w)
+    accel = tan @ ((s * p.hess) @ w.T)
     tnorm = float(np.linalg.norm(tan))
-    return exterior_magnitude(accel, tan) / tnorm**3
+    k = exterior_magnitude(accel, tan) / tnorm**3
+    require_finite("k_general", k)
+    return k
 
 
+@np.errstate(all="ignore")
 def goldman_curvature_closed(p: BoundaryPoint, system: PlaneSystem) -> float:
-    """Curve curvature by the closed two-index formula (determinants eliminated)."""
+    """Curve curvature by the closed two-index formula (determinants eliminated).
+
+    Raises:
+        NonFiniteValueError: the curvature overflows.
+    """
     i, j = system.pivot, system.j
-    fi = p.grad[i - 1]
-    fj = p.grad[j - 1]
-    fii = p.hess[i - 1, i - 1]
-    fjj = p.hess[j - 1, j - 1]
-    fij = p.hess[i - 1, j - 1]
     gnorm = float(np.linalg.norm(p.grad))
-    return abs(fii * fj * fj - 2.0 * fi * fj * fij + fjj * fi * fi) / (
+    s = _unit_scale(gnorm)
+    fi = s * p.grad[i - 1]
+    fj = s * p.grad[j - 1]
+    fii = s * p.hess[i - 1, i - 1]
+    fjj = s * p.hess[j - 1, j - 1]
+    fij = s * p.hess[i - 1, j - 1]
+    gnorm *= s
+    k = abs(fii * fj * fj - 2.0 * fi * fj * fij + fjj * fi * fi) / (
         gnorm * (fi * fi + fj * fj)
     )
+    require_finite("k_closed", k)
+    return k

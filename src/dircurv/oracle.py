@@ -15,12 +15,13 @@ definitional ingredients:
   osculating ball bound d(eta)^2 / (2 drop(eta)) <= R holds for every sampled
   nearby section point eta; flat sections (vanishing drop) report +inf.
 
-Root-finding treats grid points with |f| below a gradient-scaled floor as
-boundary points outright -- necessary on flat pieces, where the field is
-identically zero along an arc and never changes sign.  Each public call
-batches all of its circles (one for ``modulus_bruteforce``, the seven dyadic
-radii of ``gamma_estimate``, the sixteen of ``radius_containment``): one
-array pass evaluates the field at every scan angle of every circle, then all
+Every circle is scanned at the same 512 angles 2 pi s / 512.  Root-finding
+treats scan points with |f| below a gradient-scaled floor as boundary points
+outright -- necessary on flat pieces, where the field is identically zero
+along an arc and never changes sign.  Each public call batches all of its
+circles (one for ``modulus_bruteforce``, the seven dyadic radii of
+``gamma_estimate``, the sixteen of ``radius_containment``): one array pass
+evaluates the field at every scan angle of every circle, then all
 sign-change brackets take Illinois regula falsi steps (Dowell & Jarratt,
 BIT 11 (1971) 168-174) in lockstep, one array evaluation per step -- about
 four steps per call.  Each bracket stops exactly where a one-at-a-time
@@ -35,7 +36,6 @@ rounding of xi raise ``UnresolvedRadiusError`` before any division by r^2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -95,11 +95,11 @@ def _section_basis(p: BoundaryPoint, u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _circle_roots(
-    p: BoundaryPoint, e_t: np.ndarray, e_n: np.ndarray, radii, m: int
+    p: BoundaryPoint, e_t: np.ndarray, e_n: np.ndarray, radii
 ) -> list[list[np.ndarray]]:
     """Boundary points on each radius-r circle around p inside the section plane.
 
-    One array pass evaluates the field at the m cached scan angles on every
+    One array pass evaluates the field at the 512 scan angles on every
     circle.  A grid value within ``ftol`` = 1e-12 (1 + |grad f(xi)|) is a root
     outright (flat arcs).  Every sign change between non-root neighbours, on
     every circle, is then a bracket [a, b] in the angle, started from the two
@@ -139,8 +139,8 @@ def _circle_roots(
         # one point per column, in the order of xi + r cos(t) e_t + r sin(t) e_n
         return xi + (r * cos) * et + (r * sin) * en
 
-    thetas, cos, sin = _scan_grid(m)
-    k = len(radii)
+    thetas, cos, sin = _SCAN_GRID
+    m, k = len(thetas), len(radii)
     scan = body.value(at(np.repeat(radii, m), np.tile(cos, k), np.tile(sin, k))).reshape(k, m)
     is_root = np.abs(scan) <= ftol
     nxt = np.roll(np.arange(m), -1)
@@ -195,20 +195,16 @@ def _circle_roots(
     return [list(block) for block in np.split(points, bounds)]
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The m scan angles 2 pi s / m and their libm cosines and sines, read-only."""
-    thetas = [2.0 * math.pi * s / m for s in range(m)]
-    grid = (np.array(thetas), *_cos_sin(thetas))
-    for column in grid:
-        column.flags.writeable = False
-    return grid
-
-
 def _cos_sin(thetas: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """libm cosines and sines of the angles, as the scalar ``math`` calls give them."""
     return (np.fromiter(map(math.cos, thetas), float, len(thetas)),
             np.fromiter(map(math.sin, thetas), float, len(thetas)))
+
+
+_THETAS = [2.0 * math.pi * s / 512 for s in range(512)]
+# The scan angles and their libm cosines and sines, as rows; read-only.
+_SCAN_GRID = np.array([_THETAS, *_cos_sin(_THETAS)])
+_SCAN_GRID.flags.writeable = False
 
 
 def _check_resolved(p: BoundaryPoint, r: float) -> None:
@@ -239,18 +235,26 @@ def _ftol(p: BoundaryPoint) -> float:
     return 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
 
 
-def _sample(p: BoundaryPoint, u, radii, m: int) -> list[ModulusSample]:
-    """Sampled modulus at each chord radius, from one batched circle scan."""
-    if m < 64:
-        raise InputError(f"need at least 64 scan angles, got {m}")
+def _circles(p: BoundaryPoint, u, radii):
+    """Yield (r, etas, drops) per radius: the boundary points on the section
+    circle of radius r, from one batched scan, and their drops <xi - eta, dual>.
+
+    Raises:
+        NoBoundaryIntersectionError: on reaching a circle that misses the boundary.
+    """
     e_t, e_n = _section_basis(p, u)
-    samples = []
-    for r, etas in zip(radii, _circle_roots(p, e_t, e_n, radii, m)):
+    for r, etas in zip(radii, _circle_roots(p, e_t, e_n, radii)):
         if not etas:
             raise NoBoundaryIntersectionError(
                 f"the radius-{r} section circle does not meet the boundary"
             )
-        drops = [float(np.dot(p.point - eta, p.dual)) for eta in etas]
+        yield r, etas, [float(np.dot(p.point - eta, p.dual)) for eta in etas]
+
+
+def _sample(p: BoundaryPoint, u, radii) -> list[ModulusSample]:
+    """Sampled modulus at each chord radius."""
+    samples = []
+    for r, etas, drops in _circles(p, u, radii):
         value = min(drops)
         band = max(1e-12, 1e-6 * abs(value))
         witnesses = tuple(
@@ -260,14 +264,13 @@ def _sample(p: BoundaryPoint, u, radii, m: int) -> list[ModulusSample]:
     return samples
 
 
-def modulus_bruteforce(p: BoundaryPoint, u, r: float, m: int = 512) -> ModulusSample:
+def modulus_bruteforce(p: BoundaryPoint, u, r: float) -> ModulusSample:
     """Sample the two-dimensional modulus of strict convexity at chord radius r.
 
     Args:
         p: validated boundary point.
         u: tangent direction selecting the section plane.
         r: chord radius, 0 < r < body.delta.
-        m: number of scan angles, at least 64.
 
     Raises:
         NoBoundaryIntersectionError: the circle misses the boundary entirely.
@@ -277,10 +280,10 @@ def modulus_bruteforce(p: BoundaryPoint, u, r: float, m: int = 512) -> ModulusSa
         raise InputError(
             f"chord radius must satisfy 0 < r < delta = {p.body.delta}, got {r!r}"
         )
-    return _sample(p, u, [r], m)[0]
+    return _sample(p, u, [r])[0]
 
 
-def gamma_estimate(p: BoundaryPoint, u, m: int = 512) -> GammaEstimate:
+def gamma_estimate(p: BoundaryPoint, u) -> GammaEstimate:
     """Estimate gamma_hat(u) as the small-radius limit of drop(r) / r^2.
 
     Radii follow the dyadic schedule r_k = r_0 / 2^k for k = 0..6 with
@@ -296,11 +299,11 @@ def gamma_estimate(p: BoundaryPoint, u, m: int = 512) -> GammaEstimate:
     r0 = min(p.body.delta / 4.0, 0.1)
     radii = [r0 * 0.5**k for k in range(7)]
     _check_resolved(p, radii[-1])
-    quotients = [s.value / (s.r * s.r) for s in _sample(p, u, radii, m)]
+    quotients = [s.value / (s.r * s.r) for s in _sample(p, u, radii)]
     return GammaEstimate(estimate=quotients[-1], quotients=tuple(quotients))
 
 
-def radius_containment(p: BoundaryPoint, u, eps: float, m: int = 512) -> float:
+def radius_containment(p: BoundaryPoint, u, eps: float) -> float:
     """Smallest dual-weighted ball radius containing the sampled section locally.
 
     For every boundary point eta found on section circles of radii
@@ -323,16 +326,11 @@ def radius_containment(p: BoundaryPoint, u, eps: float, m: int = 512) -> float:
     levels = 16
     radii = [eps * l / levels for l in range(1, levels + 1)]
     _check_resolved(p, radii[0])
-    e_t, e_n = _section_basis(p, u)
     worst = 0.0
-    for rho, etas in zip(radii, _circle_roots(p, e_t, e_n, radii, m)):
-        if not etas:
-            raise NoBoundaryIntersectionError(
-                f"the radius-{rho} section circle does not meet the boundary"
-            )
-        for eta in etas:
+    # _circles yields circle by circle, so a flat point returns before a later empty circle raises
+    for _, etas, drops in _circles(p, u, radii):
+        for eta, drop in zip(etas, drops):
             dsq = float(np.dot(eta - p.point, eta - p.point))
-            drop = float(np.dot(p.point - eta, p.dual))
             if drop <= 1e-10 * dsq:
                 return math.inf
             worst = max(worst, dsq / (2.0 * drop))

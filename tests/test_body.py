@@ -17,6 +17,7 @@ from dircurv import (
     tangent_frame,
     validate_point,
 )
+from dircurv.body import MAX_DIMENSION
 from dircurv.errors import (
     DimensionMismatchError,
     InputError,
@@ -314,6 +315,20 @@ def test_gauge_rejects_non_finite_point(disk_body, x):
         minkowski_gauge(disk_body, x)
 
 
+# a crossing at x/lambda = (9e7, inf), and one where f(x/lambda) is inf - inf
+GAUGE_INF_POINT = ({"n": 2, "f": "-((x1^2 + x2) + -(x2^6 + x2)) + (1e-150*--x1^4 + 1e150*x1) - 0.5",
+                    "delta": 4.0}, [0.5, 1e300])
+GAUGE_NAN_FIELD = ({"n": 2, "f": "x1*(1*x1 + 1e300*-x2) + (1e300*(1e300*x1 + 0*x1^2) + x1) - 0.5",
+                    "delta": 0.1}, [7229.656609424676, 24865.53970653071])
+
+
+@pytest.mark.parametrize("body,x", [GAUGE_INF_POINT, GAUGE_NAN_FIELD])
+def test_gauge_rejects_non_finite_crossing(body, x):
+    with pytest.raises(NonFiniteValueError) as exc:
+        minkowski_gauge(make_body(body), x)
+    assert exc.value.location == "boundary_point"
+
+
 # ---------------------------------------------------------------- direct API
 
 
@@ -327,6 +342,16 @@ def test_implicit_body_accepts_prebuilt_tree():
 def test_implicit_body_rejects_bad_dimension():
     with pytest.raises(InvalidBodyError):
         ImplicitBody(n=1, f=expr.Sub(expr.Variable(1), expr.Number(1.0)), delta=0.5)
+
+
+def test_dimension_above_the_limit_is_refused_before_allocation():
+    f = expr.Sub(expr.Variable(1), expr.Number(1.0))
+    assert ImplicitBody(n=MAX_DIMENSION, f=f, delta=0.5).n == MAX_DIMENSION
+    for n in (MAX_DIMENSION + 1, 10**15):   # np.zeros(10**15) would not fit in memory
+        with pytest.raises(InvalidBodyError):
+            ImplicitBody(n=n, f=f, delta=0.5)
+        with pytest.raises(InvalidBodyError):
+            body_from_dict({"n": n, "f": "x1 - 1", "delta": 0.5})
 
 
 def test_implicit_body_rejects_nonpositive_delta():

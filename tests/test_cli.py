@@ -202,6 +202,10 @@ def test_overflowing_point_is_numerical_error(body_file, capsys):
 
 # the gradient norm overflows although its entries do not
 STEEP = {"n": 2, "f": "1e160*x1 - 1e160 + x2", "delta": 0.5}
+# the unit sphere's field times 1e150: Goldman's unscaled products overflow
+HUGE_SPHERE = {"n": 3, "f": "1e150*(x1^2 + x2^2 + x3^2 - 1)", "delta": 0.5}
+# kappa_hat = 2e300 / (2 * 2e-9) at (0, 1) is beyond the float range
+SHARP = {"n": 2, "f": "1e300*x1^2 + 2e-9*x2 - 2e-9", "delta": 0.5}
 
 
 @pytest.mark.parametrize("body,argv", [
@@ -210,6 +214,7 @@ STEEP = {"n": 2, "f": "1e160*x1 - 1e160 + x2", "delta": 0.5}
     (DISK, ["report", "--point", "1,0", "--dir", "0,1e300"]),
     (DISK, ["gauge", "--point", "1e308,1e308"]),
     (STEEP, ["report", "--point", "1,0.5"]),
+    (HUGE_SPHERE, ["goldman", "--point", "0,0,1", "--j", "1"]),
 ])
 def test_overflow_prints_nothing_on_stderr(body_file, body, argv):
     # a fresh interpreter, so that warnings reach stderr as they would for a user
@@ -317,3 +322,45 @@ def test_bad_gauge_point_and_deep_field_are_input_errors(body_file, capsys, body
     assert err == ""
     assert len(out.splitlines()) == 1
     assert json.loads(out)["error"]["code"] == error
+
+
+def test_goldman_does_not_depend_on_field_scale(body_file, capsys):
+    code, out = invoke(capsys, ["goldman", "--body", body_file(HUGE_SPHERE),
+                                "--point", "0,0,1", "--j", "1"])
+    assert code == 0
+    doc = first_json(out)
+    assert (doc["k_general"], doc["k_closed"], doc["kappa_hat"]) == (1.0, 1.0, 0.5)
+    assert doc["tangent"] == [-2e150, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", [["report"], ["extrema"], ["goldman", "--j", "1"]])
+def test_overflowing_curvature_is_numerical_error(body_file, capsys, command):
+    code = run([command[0], "--body", body_file(SHARP), "--point", "0,1", *command[1:]])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == "non_finite_value"
+
+
+@pytest.mark.parametrize("body,point", [
+    ({"n": 2, "f": "-((x1^2 + x2) + -(x2^6 + x2)) + (1e-150*--x1^4 + 1e150*x1) - 0.5",
+      "delta": 4.0}, "0.5,1e+300"),
+    ({"n": 2, "f": "x1*(1*x1 + 1e300*-x2) + (1e300*(1e300*x1 + 0*x1^2) + x1) - 0.5",
+      "delta": 0.1}, "7229.656609424676,24865.53970653071"),
+])
+def test_gauge_non_finite_crossing_is_numerical_error(body_file, capsys, body, point):
+    # these printed "inf" or "nan" in boundary_point / f_at_boundary with exit 0
+    code = run(["gauge", "--body", body_file(body), f"--point={point}"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == "non_finite_value"
+
+
+def test_huge_dimension_is_invalid_body(body_file, capsys):
+    body = {"n": 1000000000000000, "f": "x1 - 1", "delta": 0.5}
+    code = run(["report", "--body", body_file(body), "--point", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == "invalid_body"

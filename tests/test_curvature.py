@@ -29,6 +29,7 @@ from dircurv.errors import (
     DimensionMismatchError,
     InputError,
     NegativeCurvatureError,
+    NonFiniteValueError,
     NotInteriorError,
     NotTangentError,
     ZeroDirectionError,
@@ -284,3 +285,16 @@ def test_random_quadric_translation_invariance(seed):
     moved = translate_body(body, y)
     k1 = kappa_directional(validate_point(moved, xi - y), u).kappa_hat
     assert rel_close(k1, k0, 1e-10)
+
+
+@pytest.mark.parametrize("route", [
+    lambda p: gamma_directional(p, [1.0, 0.0]),
+    lambda p: kappa_directional(p, [1.0, 0.0]),
+    extrema,
+])
+def test_overflowing_curvature_is_non_finite_value(route):
+    # kappa_hat = 2e300 / (2 * 2e-9) and gamma_hat are beyond the float range
+    p = validate_point(make_body({"n": 2, "f": "1e300*x1^2 + 2e-9*x2 - 2e-9", "delta": 0.5}),
+                       [0.0, 1.0])
+    with pytest.raises(NonFiniteValueError):
+        route(p)

@@ -25,7 +25,7 @@ from dircurv import (
     plane_system,
     validate_point,
 )
-from dircurv.errors import DegenerateTangentError, InvalidIndexError
+from dircurv.errors import DegenerateTangentError, InvalidIndexError, NonFiniteValueError
 from dircurv.goldman import _tangent_weights
 from dircurv.linalg import determinant
 
@@ -280,3 +280,44 @@ def test_general_equals_closed_at_high_dimension(n):
             system = plane_system(p, j)
             ratio = goldman_curvature_general(p, system) / goldman_curvature_closed(p, system)
             assert abs(ratio - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("c", ["1e12", "1e150"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_routes_do_not_depend_on_field_scale(n, c):
+    # |Tan| grows like c, its degeneracy floor like c^2, and the closed form's
+    # products like c^3: unscaled, c = 1e12 raised degenerate_tangent and
+    # c = 1e150 made the closed form nan
+    squares = " + ".join(f"x{k}^2" for k in range(1, n + 1))
+    p = validate_point(make_body({"n": n, "f": f"{c}*({squares} - 1)", "delta": 0.5}),
+                       [1.0] + [0.0] * (n - 1))
+    for j in nonpivot_indices(p):
+        system = plane_system(p, j)
+        kappa = kappa_directional(p, frame_vector(p, j)).kappa_hat
+        assert goldman_curvature_general(p, system) == pytest.approx(2.0 * kappa, rel=1e-15)
+        assert goldman_curvature_closed(p, system) == pytest.approx(2.0 * kappa, rel=1e-15)
+        tan = goldman_tangent(p, system)
+        assert float(np.linalg.norm(tan)) == pytest.approx(2.0 * float(c), rel=1e-15)
+
+
+def test_power_of_two_field_scale_moves_no_bit():
+    text = "x1^2 + 2*x2^2 + 3*x3^2 + x1*x2 - 1"
+    x = [0.5, 0.25, 0.0]
+    x[2] = math.sqrt((1.0 - 0.25 - 2 * 0.0625 - 0.125) / 3.0)
+    base = validate_point(make_body({"n": 3, "f": text, "delta": 0.5}), x)
+    for scale in ("0.0009765625", "1024"):   # 2^-10, 2^10
+        p = validate_point(make_body({"n": 3, "f": f"{scale}*({text})", "delta": 0.5}), x)
+        for j in nonpivot_indices(p):
+            system, want = plane_system(p, j), plane_system(base, j)
+            assert goldman_curvature_general(p, system) == goldman_curvature_general(base, want)
+            assert goldman_curvature_closed(p, system) == goldman_curvature_closed(base, want)
+
+
+def test_overflowing_curvature_is_non_finite_value():
+    # kappa_hat = 2e300 / (2 * 2e-9) is beyond the float range
+    p = validate_point(make_body({"n": 2, "f": "1e300*x1^2 + 2e-9*x2 - 2e-9", "delta": 0.5}),
+                       [0.0, 1.0])
+    system = plane_system(p, 1)
+    for route in (goldman_curvature_general, goldman_curvature_closed):
+        with pytest.raises(NonFiniteValueError):
+            route(p, system)

@@ -29,7 +29,7 @@ from dircurv.errors import (
     NotTangentError,
     UnresolvedRadiusError,
 )
-from dircurv.oracle import _circle_roots, _scan_grid, _section_basis
+from dircurv.oracle import _SCAN_GRID, _circle_roots, _section_basis
 
 
 # ---------------------------------------------------------------- modulus
@@ -83,11 +83,6 @@ def test_modulus_rejects_bad_radius(disk_point):
         modulus_bruteforce(disk_point, [0.0, 1.0], 0.5)   # r == delta
     with pytest.raises(InputError):
         modulus_bruteforce(disk_point, [0.0, 1.0], -0.1)
-
-
-def test_modulus_rejects_coarse_scan(disk_point):
-    with pytest.raises(InputError):
-        modulus_bruteforce(disk_point, [0.0, 1.0], 0.1, m=32)
 
 
 def test_modulus_rejects_non_tangent(disk_point):
@@ -319,7 +314,7 @@ def test_batched_circle_roots_equal_one_circle_scan_bit_for_bit(
     radii = [0.01, 0.0625, 0.1, 0.23, 0.35]
     for p, u in _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
         e_t, e_n = _section_basis(p, u)
-        batched = _circle_roots(p, e_t, e_n, radii, 512)
+        batched = _circle_roots(p, e_t, e_n, radii)
         assert len(batched) == len(radii)
         for r, got in zip(radii, batched):
             want = _one_circle_roots(p, e_t, e_n, r, 512)
@@ -332,11 +327,11 @@ def test_batched_bisection_across_a_pole_matches_one_circle_scan():
     b = make_body({"n": 2, "f": "x2 - 1 + 0.01/(x1 - 0.0513)", "delta": 0.5})
     p = validate_point(b, [0.5, 1.0 - 0.01 / (0.5 - 0.0513)])
     e_t, e_n = _section_basis(p, [1.0, 0.01 / (0.5 - 0.0513) ** 2])
-    got = _circle_roots(p, e_t, e_n, [0.3], 512)[0]
+    got = _circle_roots(p, e_t, e_n, [0.3])[0]
     want = _one_circle_roots(p, e_t, e_n, 0.3, 512)
     assert [eta.tobytes() for eta in got] == [eta.tobytes() for eta in want]
     with pytest.raises(DiscontinuousFieldError) as exc:
-        _circle_roots(p, e_t, e_n, [0.3, 0.46], 512)
+        _circle_roots(p, e_t, e_n, [0.3, 0.46])
     assert "radius-0.46" in exc.value.message
     with pytest.raises(DiscontinuousFieldError):
         _one_circle_roots(p, e_t, e_n, 0.46, 512)
@@ -351,7 +346,7 @@ def test_bracket_without_a_hit_returns_its_endpoint_in_the_band():
     p = validate_point(b, [0.0, 1.0])
     e_t, e_n = _section_basis(p, [1.0, 0.0])
     radii = [0.1, 0.3]
-    for r, got in zip(radii, _circle_roots(p, e_t, e_n, radii, 512)):
+    for r, got in zip(radii, _circle_roots(p, e_t, e_n, radii)):
         want = _one_circle_roots(p, e_t, e_n, r, 512)
         assert [eta.tobytes() for eta in got] == [eta.tobytes() for eta in want]
         assert [b.value(eta) for eta in got] == [1e-9, 1e-9]
@@ -363,7 +358,7 @@ def test_roots_lie_on_their_circle_within_the_floor(
     for p, u in _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
         ftol = 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
         e_t, e_n = _section_basis(p, u)
-        for r, etas in zip(radii, _circle_roots(p, e_t, e_n, radii, 512)):
+        for r, etas in zip(radii, _circle_roots(p, e_t, e_n, radii)):
             assert etas
             for eta in etas:
                 assert abs(p.body.value(eta)) <= ftol
@@ -376,7 +371,7 @@ def test_illinois_roots_match_retired_bisection(
     worst = 0.0
     for p, u in _section_cases(disk_point, sphere3_point, cylinder_point, quartic_point):
         e_t, e_n = _section_basis(p, u)
-        for r, got in zip(radii, _circle_roots(p, e_t, e_n, radii, 512)):
+        for r, got in zip(radii, _circle_roots(p, e_t, e_n, radii)):
             want = _one_circle_bisection(p, e_t, e_n, r, 512)
             assert len(got) == len(want)
             for eta, ref in zip(got, want):
@@ -385,11 +380,10 @@ def test_illinois_roots_match_retired_bisection(
 
 
 def test_scan_grid_is_read_only():
-    for column in _scan_grid(96):
-        assert column.shape == (96,)
+    for column in _SCAN_GRID:
+        assert column.shape == (512,)
         with pytest.raises(ValueError):
             column[0] = 1.0
-    assert _scan_grid(96) is _scan_grid(96)
 
 
 @pytest.mark.parametrize("delta", [1e-300, 1e-20, 1e-6])
@@ -405,13 +399,8 @@ def test_gamma_estimate_rejects_unresolvable_radius(delta):
 
 def test_gamma_estimate_quotients_equal_single_radius_samples(disk_point, quartic_point):
     for p, u in ((disk_point, [0.0, 1.0]), (quartic_point, [-2.0, 1.0])):
-        est = gamma_estimate(p, u, m=96)
+        est = gamma_estimate(p, u)
         r0 = min(p.body.delta / 4.0, 0.1)
         for k, q in enumerate(est.quotients):
             rk = r0 * 0.5**k
-            assert q == modulus_bruteforce(p, u, rk, m=96).value / (rk * rk)
-
-
-def test_gamma_estimate_rejects_coarse_scan(disk_point):
-    with pytest.raises(InputError):
-        gamma_estimate(disk_point, [0.0, 1.0], m=32)
+            assert q == modulus_bruteforce(p, u, rk).value / (rk * rk)
