@@ -71,6 +71,7 @@ class ImplicitBody:
         delta: locality radius within which {f = 0} is the boundary of F.
         tol_boundary: half-width of the boundary membership band.
         tol_pivot: relative threshold for "nonvanishing" partial derivatives.
+        Both tolerances must be finite and positive.
     """
 
     n: int
@@ -86,6 +87,9 @@ class ImplicitBody:
             raise InvalidBodyError(f"dimension must be <= {MAX_DIMENSION}, got {self.n}")
         if not (self.delta > 0.0 and np.isfinite(self.delta)):
             raise InvalidBodyError(f"locality radius must be positive, got {self.delta}")
+        for key, tol in (("boundary", self.tol_boundary), ("pivot", self.tol_pivot)):
+            if not (tol > 0.0 and np.isfinite(tol)):  # an inf or nan band accepts any point
+                raise InvalidBodyError(f"tolerance {key!r} must be finite and positive: {tol!r}")
         origin_value = expr.evaluate(self.f, np.zeros(self.n))
         if not origin_value < 0.0:
             raise InvalidBodyError(
@@ -133,12 +137,14 @@ class ImplicitBody:
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A validated boundary point with its cached local data.
+    """A validated boundary point with its local data, which every route reads.
 
     Attributes:
         body: the owning body.
         point: the boundary point itself.
+        value: f there, within the boundary band.
         grad: gradient of f there.
+        gnorm: |grad|, the Euclidean norm of the gradient.
         hess: Hessian of f there (symmetric by construction).
         pivot: 1-based index of the first nonvanishing partial.
         dual: the dual vector grad / <point, grad>, so <point, dual> = 1.
@@ -147,7 +153,9 @@ class BoundaryPoint:
 
     body: ImplicitBody
     point: np.ndarray
+    value: float
     grad: np.ndarray
+    gnorm: float
     hess: np.ndarray
     pivot: int
     dual: np.ndarray
@@ -168,6 +176,17 @@ class TangentFrame:
     ortho: tuple[np.ndarray, ...]
 
 
+def _vector(v, n: int, what: str) -> np.ndarray:
+    """v as a float array; ``DimensionMismatchError`` unless its length is n,
+    ``InputError`` unless its coordinates are finite."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.shape[0] != n:
+        raise DimensionMismatchError(f"{what} must have length {n}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"{what} has non-finite coordinates")
+    return v
+
+
 def require_finite(what: str, value) -> None:
     """Raise ``NonFiniteValueError`` naming ``what`` unless the float or every array entry is finite."""
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
@@ -185,8 +204,8 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
         x: candidate boundary point, length body.n.
 
     Returns:
-        A BoundaryPoint with gradient, Hessian, pivot index, dual vector and
-        the pairing <x, grad f(x)>.
+        A BoundaryPoint with f(x), gradient, its norm, Hessian, pivot index,
+        dual vector and the pairing <x, grad f(x)>.
 
     Raises:
         NonFiniteValueError: f, the gradient, its norm, the pairing, the
@@ -195,11 +214,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
         NonSmoothPointError: the gradient vanishes (no supporting direction).
         OrientationViolationError: <x, grad f(x)> <= 0.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != body.n:
-        raise DimensionMismatchError(f"point must have length {body.n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("point has non-finite coordinates")
+    x = _vector(x, body.n, "point")
     grad = body.gradient(x)
     fval = body.value(x)
     require_finite("f", fval)
@@ -229,7 +244,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
     hess = body.hessian(x)
     require_finite("hessian", hess)
     return BoundaryPoint(
-        body=body, point=x.copy(), grad=grad, hess=hess,
+        body=body, point=x.copy(), value=fval, grad=grad, gnorm=gnorm, hess=hess,
         pivot=pivot, dual=dual, pairing=pairing,
     )
 
@@ -253,30 +268,6 @@ def tangent_frame(p: BoundaryPoint) -> TangentFrame:
     return TangentFrame(indices=tuple(indices), basis=tuple(basis), ortho=tuple(ortho))
 
 
-def _sup_scaled(u: np.ndarray) -> np.ndarray:
-    # u over its largest |entry|: norms and quadratic forms of it cannot overflow
-    top = float(np.max(np.abs(u), initial=0.0))
-    return u / top if top > 0.0 else u
-
-
-def in_tangent_hyperplane(p: BoundaryPoint, u) -> bool:
-    """True iff u is a finite nonzero vector orthogonal to the gradient at p (1e-9 relative).
-
-    The test is scale-free: u is divided by its largest |entry| first.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] != p.body.n:
-        raise DimensionMismatchError(f"direction must have length {p.body.n}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        return False
-    u = _sup_scaled(u)
-    unorm = float(np.linalg.norm(u))
-    if unorm == 0.0:
-        return False
-    gnorm = float(np.linalg.norm(p.grad))
-    return abs(float(np.dot(u, p.grad))) <= 1e-9 * unorm * gnorm
-
-
 def check_direction(p: BoundaryPoint, u) -> np.ndarray:
     """Check that u is a tangent direction at p; return u over its largest |entry|.
 
@@ -284,24 +275,35 @@ def check_direction(p: BoundaryPoint, u) -> np.ndarray:
     rescaled copy keeps |u|^2 and <H u, u> finite for any finite u.
 
     Raises:
+        DimensionMismatchError: u is not a vector of length n.
         InputError: u has a non-finite coordinate.
         ZeroDirectionError: u is the zero vector.
         NotTangentError: u is not orthogonal to the gradient (1e-9 relative).
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] != p.body.n:
-        raise DimensionMismatchError(f"direction must have length {p.body.n}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InputError("direction has non-finite coordinates")
-    v = _sup_scaled(u)
-    if not np.any(v):
+    u = _vector(u, p.body.n, "direction")
+    top = float(np.max(np.abs(u)))
+    if top == 0.0:
         raise ZeroDirectionError("the zero vector is not a direction")
-    if not in_tangent_hyperplane(p, v):
+    v = u / top
+    dot = abs(float(np.dot(v, p.grad)))
+    if not dot <= 1e-9 * float(np.linalg.norm(v)) * p.gnorm:
         raise NotTangentError(
-            f"direction is not tangent: |<u, grad>| = {abs(float(np.dot(v, p.grad)))!r} "
+            f"direction is not tangent: |<u, grad>| = {dot!r} "
             f"exceeds 1e-9 * |u| * |grad| (u scaled to max |u_k| = 1)"
         )
     return v
+
+
+def in_tangent_hyperplane(p: BoundaryPoint, u) -> bool:
+    """True iff ``check_direction`` accepts u (finite, nonzero, tangent); a u
+    of the wrong length raises ``DimensionMismatchError``."""
+    try:
+        check_direction(p, u)
+    except DimensionMismatchError:
+        raise
+    except InputError:
+        return False
+    return True
 
 
 def minkowski_gauge(body: ImplicitBody, x) -> float:
@@ -324,11 +326,7 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         NonFiniteValueError: the crossing x/lambda has a non-finite
             coordinate, or f is not finite there.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != body.n:
-        raise DimensionMismatchError(f"point must have length {body.n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("point has non-finite coordinates")
+    x = _vector(x, body.n, "point")
     if not np.any(x):
         raise ZeroDirectionError("the gauge of the zero vector is not defined by a ray crossing")
     xs = x.tolist()
@@ -383,7 +381,7 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
 
     Schema: {"n": int >= 2, "f": string in the expression grammar,
     "delta": number > 0, "tolerances": {"boundary"?: number, "pivot"?: number}}.
-    Unknown keys anywhere are rejected.
+    Unknown keys anywhere are rejected; ``ImplicitBody`` checks the ranges.
     """
     if not isinstance(obj, Mapping):
         raise InvalidBodyError("body JSON must be an object")
@@ -411,8 +409,8 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
         if unknown:
             raise InvalidBodyError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, value in block.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-                raise InvalidBodyError(f"tolerance {key!r} must be a positive number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidBodyError(f"tolerance {key!r} must be a number, got {value!r}")
             tols["tol_" + key] = float(value)
     f = expr.parse(text, n)
     return ImplicitBody(n=n, f=f, delta=float(delta), **tols)

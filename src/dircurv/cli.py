@@ -139,7 +139,7 @@ def _cmd_report(args, body: ImplicitBody, x: np.ndarray) -> dict:
             "convexity_warning": dc.convexity_warning,
         })
     return {
-        "f_value": body.value(p.point),
+        "f_value": p.value,
         "gradient": p.grad,
         "pairing": p.pairing,
         "dual": p.dual,

@@ -29,9 +29,10 @@ import numpy as np
 
 from . import expr
 from .body import (
-    BoundaryPoint, ImplicitBody, TangentFrame, check_direction, require_finite, tangent_frame,
+    BoundaryPoint, ImplicitBody, TangentFrame, _vector, check_direction, require_finite,
+    tangent_frame,
 )
-from .errors import DimensionMismatchError, NegativeCurvatureError, NotInteriorError
+from .errors import NegativeCurvatureError, NotInteriorError
 from .linalg import sym_eigen
 
 __all__ = [
@@ -105,8 +106,7 @@ def kappa_directional(p: BoundaryPoint, u) -> DirectionalCurvature:
     quad = _quadratic_form(p, v)
     usq = float(np.dot(v, v))
     gamma = quad / (2.0 * p.pairing * usq)
-    gnorm = float(np.linalg.norm(p.grad))
-    kappa = quad / (2.0 * gnorm * usq)
+    kappa = quad / (2.0 * p.gnorm * usq)
     require_finite("gamma_hat", gamma)
     require_finite("kappa_hat", kappa)
     if kappa == 0.0:
@@ -157,8 +157,7 @@ def extrema(p: BoundaryPoint, frame: TangentFrame | None = None) -> CurvatureExt
     q = np.array(frame.ortho)
     mat = q @ p.hess @ q.T
     vals, vecs = sym_eigen(0.5 * (mat + mat.T))  # matmul rounding is not symmetric
-    gnorm = float(np.linalg.norm(p.grad))
-    scale = 1.0 / (2.0 * gnorm)
+    scale = 1.0 / (2.0 * p.gnorm)
 
     def pull_back(col: int) -> np.ndarray:
         d = vecs[:, col] @ q
@@ -182,11 +181,11 @@ def translate_body(body: ImplicitBody, y) -> ImplicitBody:
     the new origin; kappa_hat is unchanged by this, gamma_hat is not.
 
     Raises:
+        DimensionMismatchError: y is not a vector of length n.
+        InputError: y has a non-finite coordinate.
         NotInteriorError: f(y) >= 0, so y is not an interior point.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != body.n:
-        raise DimensionMismatchError(f"center must have length {body.n}, got shape {y.shape}")
+    y = _vector(y, body.n, "center")
     fy = body.value(y)
     if not fy < 0.0:
         raise NotInteriorError(f"new center is not interior: f(y) = {fy!r} is not < 0")

@@ -183,6 +183,14 @@ class DiscontinuousFieldError(NumericalError):
     code = "discontinuous_field"
 
 
+class UnresolvedCrossingError(NumericalError):
+    """A sign change of a field with no division (a polynomial, hence
+    continuous) along a section circle closes on a point outside the boundary
+    band: the field is too steep there for float angles to resolve its zero."""
+
+    code = "unresolved_crossing"
+
+
 class UnresolvedRadiusError(NumericalError):
     """A sampling radius is too small for its drop to stand above the root
     tolerance and the rounding of the boundary point's coordinates."""

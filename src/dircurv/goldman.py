@@ -69,34 +69,13 @@ class PlaneSystem:
     Attributes:
         pivot: the pivot index i.
         j: the free tangent index, j != i.
-        ks: the remaining indices, ascending.
-        coeffs: plane coefficients keyed (k, l) for k in ks, l in (i, j).
+        rows: (n-2, n) array of the planes' gradients e_k + a_{ki} e_i + a_{kj} e_j,
+            one per k outside {i, j} ascending; the planes are rows @ (eta - xi) = 0.
     """
 
     pivot: int
     j: int
-    ks: tuple[int, ...]
-    coeffs: dict[tuple[int, int], float]
-
-    def gradient_rows(self, n: int) -> list[np.ndarray]:
-        """Constant gradients of the cutting planes, one per k."""
-        rows = []
-        for k in self.ks:
-            row = np.zeros(n)
-            row[k - 1] = 1.0
-            row[self.pivot - 1] = self.coeffs[(k, self.pivot)]
-            row[self.j - 1] = self.coeffs[(k, self.j)]
-            rows.append(row)
-        return rows
-
-    def residual(self, xi: np.ndarray, eta: np.ndarray, k: int) -> float:
-        """Value of the k-th plane at eta (zero when eta lies on the plane)."""
-        i, j = self.pivot, self.j
-        return float(
-            (eta[k - 1] - xi[k - 1])
-            + self.coeffs[(k, i)] * (eta[i - 1] - xi[i - 1])
-            + self.coeffs[(k, j)] * (eta[j - 1] - xi[j - 1])
-        )
+    rows: np.ndarray
 
 
 def plane_system(p: BoundaryPoint, j: int) -> PlaneSystem:
@@ -116,16 +95,16 @@ def plane_system(p: BoundaryPoint, j: int) -> PlaneSystem:
     fi = p.grad[i - 1]
     fj = p.grad[j - 1]
     denom = fi * fi + fj * fj
-    coeffs = {}
-    ks = tuple(k for k in range(1, n + 1) if k != i and k != j)
-    for k in ks:
-        fk = p.grad[k - 1]
-        coeffs[(k, i)] = -fi * fk / denom
-        coeffs[(k, j)] = -fj * fk / denom
-    return PlaneSystem(pivot=i, j=j, ks=ks, coeffs=coeffs)
+    ks = [k for k in range(n) if k != i - 1 and k != j - 1]  # 0-based
+    fk = p.grad[ks]
+    rows = np.zeros((n - 2, n))
+    rows[range(n - 2), ks] = 1.0
+    rows[:, i - 1] = -fi * fk / denom
+    rows[:, j - 1] = -fj * fk / denom
+    return PlaneSystem(pivot=i, j=j, rows=rows)
 
 
-def _tangent_weights(system: PlaneSystem, n: int) -> np.ndarray:
+def _tangent_weights(system: PlaneSystem) -> np.ndarray:
     """Constant matrix W with Tan = W . grad f, so that d Tan / dx = H . W^T.
 
     Expanding the generalized cross product along the f row gives, for
@@ -134,12 +113,12 @@ def _tangent_weights(system: PlaneSystem, n: int) -> np.ndarray:
     only these n(n-1)/2 minors are computed, in one stacked determinant.
     For n = 2, Tan = (-f_2, f_1).
     """
+    n = system.rows.shape[1]
     if n == 2:
         return np.array([[0.0, -1.0], [1.0, 0.0]])
-    rows = np.array(system.gradient_rows(n))
     upper = np.triu_indices(n, 1)
     kept = [[col for col in range(n) if col != m and col != c] for m, c in zip(*upper)]
-    minors = rows[:, kept].transpose(1, 0, 2)  # (pairs, n-2, n-2)
+    minors = system.rows[:, kept].transpose(1, 0, 2)  # (pairs, n-2, n-2)
     signs = np.where((upper[0] + upper[1]) % 2 == 0, -1.0, 1.0)
     w = np.zeros((n, n))
     w[upper] = signs * determinant(minors)
@@ -152,13 +131,11 @@ def _unit_scale(gnorm: float) -> float:
 
 
 def _tangent(p: BoundaryPoint, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Tan at p for the field s f, and s = ``_unit_scale(|grad f|)``: |grad (s f)| is near 1."""
-    gnorm = float(np.linalg.norm(p.grad))
-    s = _unit_scale(gnorm)
-    # grad f evaluated afresh from the body, not read from p.grad
-    tan = w @ (s * p.body.gradient(p.point))
+    """Tan = W . (s p.grad) and s = ``_unit_scale(|grad f|)``, so that |grad (s f)| is near 1."""
+    s = _unit_scale(p.gnorm)
+    tan = w @ (s * p.grad)
     tnorm = float(np.linalg.norm(tan))
-    if not np.isfinite(tnorm) or tnorm <= 1e-12 * (1.0 + (s * gnorm) ** 2):
+    if not np.isfinite(tnorm) or tnorm <= 1e-12 * (1.0 + (s * p.gnorm) ** 2):
         raise DegenerateTangentError(
             "intersection-curve tangent vanishes; the cutting planes do not "
             "select a curve through the point"
@@ -174,7 +151,7 @@ def goldman_tangent(p: BoundaryPoint, system: PlaneSystem) -> np.ndarray:
         DegenerateTangentError: the tangent vector vanishes.
         NonFiniteValueError: the tangent overflows.
     """
-    tan, s = _tangent(p, _tangent_weights(system, p.body.n))
+    tan, s = _tangent(p, _tangent_weights(system))
     tan = tan / s
     require_finite("tangent", tan)
     return tan
@@ -192,7 +169,7 @@ def goldman_curvature_general(p: BoundaryPoint, system: PlaneSystem) -> float:
         DegenerateTangentError: the tangent vector vanishes.
         NonFiniteValueError: the curvature overflows.
     """
-    w = _tangent_weights(system, p.body.n)
+    w = _tangent_weights(system)
     tan, s = _tangent(p, w)
     accel = tan @ ((s * p.hess) @ w.T)
     tnorm = float(np.linalg.norm(tan))
@@ -209,16 +186,14 @@ def goldman_curvature_closed(p: BoundaryPoint, system: PlaneSystem) -> float:
         NonFiniteValueError: the curvature overflows.
     """
     i, j = system.pivot, system.j
-    gnorm = float(np.linalg.norm(p.grad))
-    s = _unit_scale(gnorm)
+    s = _unit_scale(p.gnorm)
     fi = s * p.grad[i - 1]
     fj = s * p.grad[j - 1]
     fii = s * p.hess[i - 1, i - 1]
     fjj = s * p.hess[j - 1, j - 1]
     fij = s * p.hess[i - 1, j - 1]
-    gnorm *= s
     k = abs(fii * fj * fj - 2.0 * fi * fj * fij + fjj * fi * fi) / (
-        gnorm * (fi * fi + fj * fj)
+        s * p.gnorm * (fi * fi + fj * fj)
     )
     require_finite("k_closed", k)
     return k

@@ -29,7 +29,9 @@ Illinois run would, so roots, witnesses and quotients are bit-identical to
 scanning circle by circle.  A root is a point on the circle with |f| within
 the floor, or, for a bracket that runs out of steps first, an endpoint in
 the boundary band of ``validate_point``; a sign change that closes on
-neither (a pole of a rational field) raises ``DiscontinuousFieldError``.
+neither raises ``DiscontinuousFieldError`` when f has a division (a pole of a
+rational field) and ``UnresolvedCrossingError`` when it has none (a
+polynomial too steep for float angles).
 Radii too small to resolve a drop against the root tolerance and the
 rounding of xi raise ``UnresolvedRadiusError`` before any division by r^2.
 """
@@ -41,11 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr
 from .body import BoundaryPoint, check_direction
 from .errors import (
     DiscontinuousFieldError,
     InputError,
     NoBoundaryIntersectionError,
+    UnresolvedCrossingError,
     UnresolvedRadiusError,
 )
 
@@ -121,14 +125,16 @@ def _circle_roots(
     A bracket that retires without reaching ``ftol`` returns its endpoint of
     smaller |f| only if that lies in the band of ``validate_point``,
     ``tol_boundary * (1 + |grad f(xi)|)``; otherwise the sign change is not a
-    boundary crossing (a pole, say) and the call raises.
+    resolved boundary crossing and the call raises.
 
     Returns one list per radius: grid roots by angle, then bracket roots by
     bracket angle.
 
     Raises:
         DiscontinuousFieldError: a sign change closes on a point outside the
-            boundary band.
+            boundary band, and f has a division (a pole, say).
+        UnresolvedCrossingError: the same for an f without division: f is a
+            polynomial, so continuous, and float resolution ran out.
     """
     body = p.body
     xi, et, en = p.point[:, None], e_t[:, None], e_n[:, None]
@@ -172,15 +178,17 @@ def _circle_roots(
 
     use_a = ~hit & (np.abs(fa) < np.abs(fb))
     root, f_root = np.where(use_a, a, b), np.where(use_a, fa, fb)
-    band = body.tol_boundary * (1.0 + float(np.linalg.norm(p.grad)))
+    band = body.tol_boundary * (1.0 + p.gnorm)
     off = ~hit & ~(np.abs(f_root) <= band)
     if off.any():
         j = int(np.argmax(off))
         eta = at(r[j], *_cos_sin([float(root[j])]))[:, 0]
-        raise DiscontinuousFieldError(
+        polynomial = "/" not in expr.to_text(body.f)  # only a division breaks continuity
+        why = ("f has no division, so it is continuous; float resolution ran out before "
+               "its zero" if polynomial else "f is not continuous there")
+        raise (UnresolvedCrossingError if polynomial else DiscontinuousFieldError)(
             f"a sign change of f on the radius-{float(r[j])} section circle closes "
-            f"on |f| = {abs(float(f_root[j]))!r}, outside the boundary band {band!r}: "
-            f"f is not continuous there",
+            f"on |f| = {abs(float(f_root[j]))!r}, outside the boundary band {band!r}: {why}",
             location=eta.tolist(),
         )
 
@@ -232,7 +240,7 @@ def _check_resolved(p: BoundaryPoint, r: float) -> None:
 
 def _ftol(p: BoundaryPoint) -> float:
     """|f| at or below which a point on a section circle is a root."""
-    return 1e-12 * (1.0 + float(np.linalg.norm(p.grad)))
+    return 1e-12 * (1.0 + p.gnorm)
 
 
 def _circles(p: BoundaryPoint, u, radii):

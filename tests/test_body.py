@@ -12,12 +12,19 @@ from dircurv import (
     ImplicitBody,
     body_from_dict,
     expr,
+    extrema,
+    gamma_directional,
+    goldman_curvature_closed,
+    goldman_curvature_general,
+    goldman_tangent,
     in_tangent_hyperplane,
+    kappa_directional,
     minkowski_gauge,
+    plane_system,
     tangent_frame,
     validate_point,
 )
-from dircurv.body import MAX_DIMENSION
+from dircurv.body import MAX_DIMENSION, check_direction
 from dircurv.errors import (
     DimensionMismatchError,
     InputError,
@@ -57,6 +64,7 @@ def test_body_from_dict_custom_tolerances():
     {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {"fuzz": 1e-9}},
     {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {"boundary": 0.0}},
     {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {"boundary": True}},
+    {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {"boundary": math.inf}},
     {"n": 1, "f": "x1 - 1", "delta": 0.5},
     "not a mapping",
 ])
@@ -174,6 +182,35 @@ def test_pivot_skips_near_vanishing_partials():
 def test_pivot_is_first_qualifying_index(cylinder_point):
     # gradient (1.8, 0, 2.4): index 1 qualifies first even though 3 is larger
     assert cylinder_point.pivot == 1
+
+
+def test_validated_point_carries_value_and_gradient_norm(cylinder_point):
+    p = cylinder_point
+    assert p.value == p.body.value(p.point)
+    assert p.gnorm == float(np.linalg.norm(p.grad))
+
+
+def test_routes_read_the_validated_point_without_evaluating_the_field(
+        cylinder_point, monkeypatch):
+    # every route works from the data validate_point cached; none evaluates f,
+    # its gradient or its Hessian at the point a second time
+    p = cylinder_point
+    u = tangent_frame(p).basis[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the field was evaluated again")
+
+    for name in ("value", "gradient", "hessian"):
+        monkeypatch.setattr(ImplicitBody, name, refuse)
+    check_direction(p, u)
+    kappa_directional(p, u)
+    gamma_directional(p, u)
+    extrema(p)
+    for j in (2, 3):
+        system = plane_system(p, j)
+        goldman_tangent(p, system)
+        goldman_curvature_general(p, system)
+        goldman_curvature_closed(p, system)
 
 
 # ---------------------------------------------------------------- frames
@@ -360,3 +397,14 @@ def test_implicit_body_rejects_nonpositive_delta():
         ImplicitBody(n=2, f=f, delta=-1.0)
     with pytest.raises(InvalidBodyError):
         ImplicitBody(n=2, f=f, delta=math.inf)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("tol", ["tol_boundary", "tol_pivot"])
+def test_implicit_body_rejects_non_finite_or_nonpositive_tolerance(tol, value):
+    # an inf or nan boundary band let validate_point accept any point
+    f = expr.Sub(expr.Add(expr.Pow(expr.Variable(1), 2), expr.Pow(expr.Variable(2), 2)),
+                 expr.Number(1.0))
+    with pytest.raises(InvalidBodyError) as exc:
+        ImplicitBody(n=2, f=f, delta=0.5, **{tol: value})
+    assert "finite and positive" in exc.value.message

@@ -357,6 +357,32 @@ def test_gauge_non_finite_crossing_is_numerical_error(body_file, capsys, body, p
     assert json.loads(out)["error"]["code"] == "non_finite_value"
 
 
+def test_infinite_tolerance_is_invalid_body(body_file, capsys):
+    # json reads Infinity; an infinite band accepted (0.3, 0.2), where f = -0.87
+    body = dict(DISK, tolerances={"boundary": float("inf")})
+    code = run(["report", "--body", body_file(body), "--point", "0.3,0.2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == "invalid_body"
+
+
+@pytest.mark.parametrize("body,point,error", [
+    # a polynomial, so continuous: float angles cannot resolve its zero there
+    ({"n": 3, "f": "1e300*x1^2 + 1*x2^2 + 3*x3^6 + 1e300*x1*x2 + 0.5*x3 - 1e8", "delta": 0.4},
+     "0.0,1.789961582776609e-299,17.939614969280655", "unresolved_crossing"),
+    # the first section circle crosses the pole at x1 = 0.0513
+    ({"n": 2, "f": "x2 - 1 + 0.01/(x1 - 0.0513)", "delta": 0.5},
+     "0.125,0.864314789687924", "discontinuous_field"),
+])
+def test_unresolved_sign_change_is_numerical_error(body_file, capsys, body, point, error):
+    code = run(["verify", "--body", body_file(body), "--point", point])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == error
+
+
 def test_huge_dimension_is_invalid_body(body_file, capsys):
     body = {"n": 1000000000000000, "f": "x1 - 1", "delta": 0.5}
     code = run(["report", "--body", body_file(body), "--point", "1"])

@@ -213,6 +213,16 @@ def test_translate_rejects_bad_dimension(disk_body):
         translate_body(disk_body, [0.1, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("y", [[-math.inf, 0.0], [math.nan, 0.0]])
+def test_translate_rejects_non_finite_center(y):
+    # f(-inf, 0) = -inf passed the interior test and left a (-inf) literal in g
+    body = make_body({"n": 2, "f": "x1 + x2^2 - 1", "delta": 0.5})
+    with pytest.raises(InputError) as exc:
+        translate_body(body, y)
+    assert exc.value.code == "input_error"
+    assert exc.value.message == "center has non-finite coordinates"
+
+
 def test_translated_field_matches_shifted_evaluation(quartic_body):
     y = np.array([0.25, -0.5])
     moved = translate_body(quartic_body, y)

@@ -16,7 +16,6 @@ from conftest import (
 )
 
 from dircurv import (
-    BoundaryPoint,
     expr,
     goldman_curvature_closed,
     goldman_curvature_general,
@@ -25,6 +24,7 @@ from dircurv import (
     plane_system,
     validate_point,
 )
+from dircurv import goldman
 from dircurv.errors import DegenerateTangentError, InvalidIndexError, NonFiniteValueError
 from dircurv.goldman import _tangent_weights
 from dircurv.linalg import determinant
@@ -41,24 +41,25 @@ def nonpivot_indices(p):
     return [j for j in range(1, p.body.n + 1) if j != p.pivot]
 
 
+def residual(system, xi, eta):
+    """Values of the cutting planes through xi at eta (zero when eta lies on them)."""
+    return system.rows @ (eta - xi)
+
+
 # ---------------------------------------------------------------- planes
 
 
 def test_plane_system_empty_in_the_plane(quartic_point):
     j = 2 if quartic_point.pivot == 1 else 1
     system = plane_system(quartic_point, j)
-    assert system.ks == ()
-    assert system.coeffs == {}
-    assert system.gradient_rows(2) == []
+    assert system.rows.shape == (0, 2)
 
 
 def test_plane_system_coefficients(sphere3_point):
     # pivot 3 at the north pole; with j = 1 the only cut is k = 2
     system = plane_system(sphere3_point, 1)
     assert system.pivot == 3 and system.j == 1
-    assert system.ks == (2,)
-    assert system.coeffs[(2, 3)] == 0.0
-    assert system.coeffs[(2, 1)] == 0.0
+    np.testing.assert_array_equal(system.rows, [[0.0, 1.0, 0.0]])
 
 
 def test_plane_system_rejects_bad_index(sphere3_point):
@@ -79,17 +80,16 @@ def test_planes_contain_gradient_and_frame_direction():
         for j in nonpivot_indices(p):
             system = plane_system(p, j)
             u = frame_vector(p, j)
-            for k in system.ks:
-                for direction in (p.grad, u):
-                    eta = p.point + 0.37 * direction
-                    scale = 1.0 + float(np.linalg.norm(direction))
-                    assert abs(system.residual(p.point, eta, k)) <= 1e-12 * scale
+            assert system.rows.shape == (2, 4)
+            for direction in (p.grad, u):
+                eta = p.point + 0.37 * direction
+                scale = 1.0 + float(np.linalg.norm(direction))
+                assert np.all(np.abs(residual(system, p.point, eta)) <= 1e-12 * scale)
 
 
 def test_plane_residual_vanishes_at_the_point(cylinder_point):
     system = plane_system(cylinder_point, 3)
-    for k in system.ks:
-        assert system.residual(cylinder_point.point, cylinder_point.point, k) == 0.0
+    assert residual(system, cylinder_point.point, cylinder_point.point).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------- tangent
@@ -133,21 +133,14 @@ def test_tangent_magnitude_closed_form():
             assert rel_close(float(np.linalg.norm(tan)), want, 1e-10)
 
 
-def test_degenerate_tangent_raises():
-    # the field's own partials all vanish at (1, 0, 0); a hand-assembled
-    # point sneaks past validation but the tangent components evaluate to 0
-    body = make_body({"n": 3, "f": "-(x1 - 1)^2 - x2^2", "delta": 0.5})
-    fake = BoundaryPoint(
-        body=body,
-        point=np.array([1.0, 0.0, 0.0]),
-        grad=np.array([1.0, 0.0, 0.0]),
-        hess=np.zeros((3, 3)),
-        pivot=1,
-        dual=np.array([1.0, 0.0, 0.0]),
-        pairing=1.0,
-    )
+def test_degenerate_tangent_raises(sphere3_point, monkeypatch):
+    # zero tangent weights give Tan = 0: the cutting planes select no curve
+    system = plane_system(sphere3_point, 1)
+    monkeypatch.setattr(goldman, "_tangent_weights", lambda s: np.zeros((3, 3)))
     with pytest.raises(DegenerateTangentError):
-        goldman_tangent(fake, plane_system(fake, 2))
+        goldman_tangent(sphere3_point, system)
+    with pytest.raises(DegenerateTangentError):
+        goldman_curvature_general(sphere3_point, system)
 
 
 # ---------------------------------------------------------------- curvature
@@ -224,7 +217,7 @@ def _symbolic_tangent(p, system):
     body = p.body
     if n == 2:
         return [expr.Neg(body.partial(2)), body.partial(1)]
-    rows = system.gradient_rows(n)
+    rows = system.rows
     comps = []
     for m in range(1, n + 1):
         columns = [c for c in range(1, n + 1) if c != m]
@@ -250,7 +243,7 @@ def test_tangent_weights_are_antisymmetric():
         body, a = quadric_body(rng, n)
         p = validate_point(body, quadric_boundary_point(rng, a))
         for j in nonpivot_indices(p):
-            w = _tangent_weights(plane_system(p, j), n)
+            w = _tangent_weights(plane_system(p, j))
             assert np.array_equal(w, -w.T)
 
 
@@ -263,7 +256,7 @@ def test_hessian_jacobian_equals_retired_symbolic_jacobian(
             comps = _symbolic_tangent(p, system)
             symbolic = np.array([[expr.evaluate(expr.differentiate(comps[c], r), p.point)
                                   for c in range(n)] for r in range(1, n + 1)])
-            w = _tangent_weights(system, n)
+            w = _tangent_weights(system)
             scale = max(1.0, float(np.max(np.abs(symbolic))))
             np.testing.assert_allclose(p.hess @ w.T, symbolic, rtol=0.0, atol=1e-15 * scale)
             tan = [expr.evaluate(c, p.point) for c in comps]

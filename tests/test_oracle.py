@@ -27,6 +27,7 @@ from dircurv.errors import (
     InputError,
     NoBoundaryIntersectionError,
     NotTangentError,
+    UnresolvedCrossingError,
     UnresolvedRadiusError,
 )
 from dircurv.oracle import _SCAN_GRID, _circle_roots, _section_basis
@@ -337,6 +338,20 @@ def test_batched_bisection_across_a_pole_matches_one_circle_scan():
         _one_circle_roots(p, e_t, e_n, 0.46, 512)
     with pytest.raises(DiscontinuousFieldError):
         modulus_bruteforce(p, [1.0, 0.01 / (0.5 - 0.0513) ** 2], 0.46)
+
+
+def test_unresolvable_crossing_of_a_polynomial_is_not_called_discontinuous():
+    # one ulp of angle moves this f by ~3e274, so no float angle brings |f|
+    # into the band; f has no division, so it is continuous all the same
+    b = make_body({"n": 3, "f": "1e300*x1^2 + 1*x2^2 + 3*x3^6 + 1e300*x1*x2 + 0.5*x3 - 1e8",
+                   "delta": 0.4})
+    p = validate_point(b, [0.0, 1.789961582776609e-299, 17.939614969280655])
+    u = [-2e-300, 1.0, 0.0]   # the tangent-frame vector u^2
+    with pytest.raises(UnresolvedCrossingError) as exc:
+        gamma_estimate(p, u)
+    assert exc.value.code == "unresolved_crossing"
+    assert exc.value.exit_code == 3
+    assert "float resolution ran out" in exc.value.message
 
 
 def test_bracket_without_a_hit_returns_its_endpoint_in_the_band():
