@@ -45,7 +45,6 @@ from .errors import (
     RayEscapesError,
     ZeroDirectionError,
 )
-from .linalg import orthonormalize
 
 __all__ = [
     "MAX_DIMENSION", "ImplicitBody", "BoundaryPoint", "TangentFrame",
@@ -120,18 +119,14 @@ class ImplicitBody:
         return expr.evaluate(self.f, x)
 
     def gradient(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float).tolist()  # trees walk Python floats, as in evaluate
-        return np.array([p._eval(xs) for p in self._partials], dtype=float)
+        return np.array(expr._evaluate_trees(self._partials, x), dtype=float)
 
     def hessian(self, x) -> np.ndarray:
         """Numeric Hessian; the upper triangle is evaluated and mirrored."""
-        xs = np.asarray(x, dtype=float).tolist()
         h = np.empty((self.n, self.n))
-        for k in range(1, self.n + 1):
-            for l in range(k, self.n + 1):
-                v = self._second_partials[(k, l)]._eval(xs)
-                h[k - 1, l - 1] = v
-                h[l - 1, k - 1] = v
+        table = self._second_partials
+        for (k, l), v in zip(table, expr._evaluate_trees(table.values(), x)):
+            h[k - 1, l - 1] = h[l - 1, k - 1] = v
         return h
 
 
@@ -167,13 +162,14 @@ class TangentFrame:
     """Basis of the tangent hyperplane at a boundary point.
 
     ``basis[t]`` is the vector u^j for the t-th index j != pivot (ascending):
-    1 in coordinate j, -f_j/f_i in the pivot coordinate i, 0 elsewhere.
-    ``ortho`` is the orthonormalized copy, and ``indices`` records j per slot.
+    1 in coordinate j, -f_j/f_i in the pivot coordinate i, 0 elsewhere, and
+    ``indices`` records j per slot.  ``tangent_frame`` is the one place that
+    builds u^j; a reader that needs an orthonormal basis passes ``basis`` to
+    ``linalg.orthonormalize``.
     """
 
     indices: tuple[int, ...]
     basis: tuple[np.ndarray, ...]
-    ortho: tuple[np.ndarray, ...]
 
 
 def _vector(v, n: int, what: str) -> np.ndarray:
@@ -250,7 +246,7 @@ def validate_point(body: ImplicitBody, x) -> BoundaryPoint:
 
 
 def tangent_frame(p: BoundaryPoint) -> TangentFrame:
-    """Build the n-1 tangent basis vectors u^j and their orthonormal copy."""
+    """Build the n-1 tangent basis vectors u^j, j != pivot, ascending."""
     n = p.body.n
     i = p.pivot
     fi = p.grad[i - 1]
@@ -264,8 +260,7 @@ def tangent_frame(p: BoundaryPoint) -> TangentFrame:
         u[i - 1] = -p.grad[j - 1] / fi
         indices.append(j)
         basis.append(u)
-    ortho = orthonormalize(basis)
-    return TangentFrame(indices=tuple(indices), basis=tuple(basis), ortho=tuple(ortho))
+    return TangentFrame(indices=tuple(indices), basis=tuple(basis))
 
 
 def check_direction(p: BoundaryPoint, u) -> np.ndarray:
@@ -331,11 +326,11 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         raise ZeroDirectionError("the gauge of the zero vector is not defined by a ray crossing")
     xs = x.tolist()
 
-    def g(lam: float) -> float:
-        return body.value([c / lam for c in xs])
+    def ray(lam: float) -> list[float]:
+        return [c / lam for c in xs]
 
     def crossing(lam: float) -> float:
-        boundary = [c / lam for c in xs]
+        boundary = ray(lam)
         if not (all(map(math.isfinite, boundary)) and math.isfinite(body.value(boundary))):
             raise NonFiniteValueError(
                 f"the ray crosses f = 0 at lambda = {lam!r}, where x/lambda or f is not finite",
@@ -351,8 +346,8 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         if val == 0.0:
             return crossing(lam)
         if i and (val > 0.0) != (values[i - 1] > 0.0):
-            lo, hi = lam, grid[i - 1]  # g(lo), g(hi) have opposite signs
-            lo_val = val
+            lo, hi = lam, grid[i - 1]  # f(x/lo), f(x/hi) have opposite signs
+            lo_positive = val > 0.0
             break
     if lo is None:
         raise RayEscapesError(
@@ -362,12 +357,11 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        val = g(mid)
+        val = body.value(ray(mid))
         if val == 0.0:
             return crossing(mid)
-        if (val > 0.0) == (lo_val > 0.0):
+        if (val > 0.0) == lo_positive:
             lo = mid
-            lo_val = val
         else:
             hi = mid
     return crossing(0.5 * (lo + hi))

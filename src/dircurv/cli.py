@@ -166,10 +166,8 @@ def _cmd_goldman(args, body: ImplicitBody, x: np.ndarray) -> dict:
     tan = goldman_tangent(p, system)
     k_general = goldman_curvature_general(p, system)
     k_closed = goldman_curvature_closed(p, system)
-    u = np.zeros(body.n)
-    u[args.j - 1] = 1.0
-    u[p.pivot - 1] = -p.grad[args.j - 1] / p.grad[p.pivot - 1]
-    dc = kappa_directional(p, u)
+    frame = tangent_frame(p)
+    dc = kappa_directional(p, frame.basis[frame.indices.index(args.j)])
     ratio = k_general / k_closed if k_closed != 0.0 else None
     return {
         "pivot": p.pivot,
@@ -185,13 +183,6 @@ def _cmd_goldman(args, body: ImplicitBody, x: np.ndarray) -> dict:
 def _cmd_verify(args, body: ImplicitBody, x: np.ndarray) -> dict:
     p = validate_point(body, x)
     checks = []
-    warnings: list[dict] = []
-
-    def warn(code: str, message: str):
-        if all(w["code"] != code or w["message"] != message for w in warnings):
-            warnings.append({"code": code, "message": message})
-
-    warn("oracle_localization", _LOCALIZATION_WARNING)
     for u, source, j in _directions(args, p):
         gamma = gamma_directional(p, u)
         est = gamma_estimate(p, u)
@@ -207,6 +198,7 @@ def _cmd_verify(args, body: ImplicitBody, x: np.ndarray) -> dict:
             "rel_error": abs_error / scale if scale > 0.0 else 0.0,
             "quotients": list(est.quotients),
         })
+    warnings = [{"code": "oracle_localization", "message": _LOCALIZATION_WARNING}]
     return {"checks": checks, "warnings": warnings}
 
 

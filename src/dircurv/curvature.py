@@ -15,8 +15,8 @@ origin interior, while gamma_hat is not (its normalization <xi, grad f> moves
 with the origin).  The curvature radius is 1 / (2 kappa_hat), the radius of
 the osculating circle of the planar section spanned by u and the normal.
 
-``extrema`` diagonalizes the Hessian restricted to an orthonormal tangent
-frame, yielding the smallest and largest kappa_hat over all tangent
+``extrema`` diagonalizes the Hessian restricted to the orthonormalized
+tangent frame, yielding the smallest and largest kappa_hat over all tangent
 directions together with directions attaining them.
 """
 
@@ -29,11 +29,10 @@ import numpy as np
 
 from . import expr
 from .body import (
-    BoundaryPoint, ImplicitBody, TangentFrame, _vector, check_direction, require_finite,
-    tangent_frame,
+    BoundaryPoint, ImplicitBody, _vector, check_direction, require_finite, tangent_frame,
 )
 from .errors import NegativeCurvatureError, NotInteriorError
-from .linalg import sym_eigen
+from .linalg import orthonormalize, sym_eigen
 
 __all__ = [
     "DirectionalCurvature", "CurvatureExtrema",
@@ -141,20 +140,19 @@ def curvature_radius(p: BoundaryPoint, u) -> float:
 
 
 @np.errstate(all="ignore")  # overflow is reported by the finiteness checks
-def extrema(p: BoundaryPoint, frame: TangentFrame | None = None) -> CurvatureExtrema:
+def extrema(p: BoundaryPoint) -> CurvatureExtrema:
     """Extremal kappa_hat over the tangent hyperplane, with attaining directions.
 
-    The Hessian is restricted to the orthonormal tangent frame q_1..q_{n-1}
-    as M[a, b] = <H q_a, q_b>; its extreme eigenvalues divided by 2 |grad|
-    are the extreme curvatures, and the eigenvectors pull back to unit
-    tangent directions.
+    The tangent frame u^j is orthonormalized (``linalg.orthonormalize``) to
+    q_1..q_{n-1}, and the Hessian is restricted to it as
+    M[a, b] = <H q_a, q_b>; its extreme eigenvalues divided by 2 |grad| are
+    the extreme curvatures, and the eigenvectors pull back to unit tangent
+    directions.
 
     Raises:
         NonFiniteValueError: M or an extreme curvature overflows.
     """
-    if frame is None:
-        frame = tangent_frame(p)
-    q = np.array(frame.ortho)
+    q = np.array(orthonormalize(tangent_frame(p).basis))
     mat = q @ p.hess @ q.T
     vals, vecs = sym_eigen(0.5 * (mat + mat.T))  # matmul rounding is not symmetric
     scale = 1.0 / (2.0 * p.gnorm)

@@ -41,44 +41,37 @@ class NumericalError(DircurvError):
 
 # --- expression language -------------------------------------------------
 
-class ExpressionSyntaxError(InputError):
-    code = "syntax_error"
+class _PositionError(InputError):
+    """An input error at a 1-based character position of the expression text."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})", location=position)
         self.position = position
 
 
-class UnknownVariableError(InputError):
+class ExpressionSyntaxError(_PositionError):
+    code = "syntax_error"
+
+
+class UnknownVariableError(_PositionError):
     code = "unknown_variable"
 
     def __init__(self, index: int, n: int, position: int):
-        super().__init__(
-            f"variable x{index} is outside x1..x{n} (position {position})",
-            location=position,
-        )
+        super().__init__(f"variable x{index} is outside x1..x{n}", position)
         self.index = index
-        self.position = position
 
 
-class NonIntegerExponentError(InputError):
+class NonIntegerExponentError(_PositionError):
     code = "non_integer_exponent"
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})", location=position)
-        self.position = position
 
-
-class ExpressionTooDeepError(InputError):
+class ExpressionTooDeepError(_PositionError):
     """The text nests deeper than the parser's documented depth limit."""
 
     code = "expression_too_deep"
 
     def __init__(self, limit: int, position: int):
-        super().__init__(
-            f"expression nests deeper than {limit} levels (position {position})", location=position
-        )
-        self.position = position
+        super().__init__(f"expression nests deeper than {limit} levels", position)
 
 
 class DivisionByZeroError(NumericalError):

@@ -35,15 +35,18 @@ NaN or a division error, and ``y + 0`` no longer turns ``-0.0`` into
 ``0.0``.  ``evaluate`` walks a tree in a fixed left-to-right order, so
 results are bit-for-bit reproducible.
 
-``evaluate`` takes one point (a length-n sequence, walked as Python floats so
-overflow is silent; result a float) or a batch of m points as the columns of
-an ``(n, m)`` array (result a length-m array).
+This module is the only one that walks a tree at a point.  ``evaluate``
+takes one point (a length-n sequence, walked as Python floats so overflow is
+silent; result a float) or a batch of m points as the columns of an
+``(n, m)`` array (result a length-m array).
 The batch walks the same tree once with each node operating on whole rows.
 Every element then goes through the same IEEE-754 additions, subtractions,
 multiplications, divisions and negations, in the same order, as the scalar
 walk of its column, and ``Pow`` still uses binary exponentiation rather than
 a libm ``pow``.  So each entry is bit-identical to evaluating that column on
-its own.
+its own.  ``_evaluate_trees`` walks a sequence of trees at one point,
+converted once, for the gradient and Hessian of ``body.ImplicitBody``; each
+value equals the single-point ``evaluate`` of its tree bit for bit.
 """
 
 from __future__ import annotations
@@ -470,6 +473,16 @@ def evaluate(e: Expression, x):
     with np.errstate(all="ignore"):
         out[:] = e._eval(x)
     return out
+
+
+def _evaluate_trees(trees, x) -> list[float]:
+    """``evaluate(t, x)`` for each tree t in order, at one point converted once.
+
+    The trees are walked one after another, so the first one that raises
+    (a ``DivisionByZeroError``, say) is the first in sequence order.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    return [t._eval(xs) for t in trees]
 
 
 def to_text(e: Expression) -> str:

@@ -3,7 +3,10 @@
 These routines never look at the Hessian.  They probe the boundary directly
 by root-finding the field along circles inside the section plane
 span{u, grad f} centered at the boundary point, and reduce curvature to its
-definitional ingredients:
+definitional ingredients.  The plane's orthonormal basis comes from
+``linalg.orthonormalize``, the Gram-Schmidt that ``curvature.extrema`` uses
+too, and each public call below reads its circles, roots and drops from the
+one loop ``_circles``:
 
 * ``modulus_bruteforce``: the minimal dual-pairing drop <xi - eta, dual> over
   boundary points eta at chord distance exactly r from xi inside the section
@@ -52,6 +55,7 @@ from .errors import (
     UnresolvedCrossingError,
     UnresolvedRadiusError,
 )
+from .linalg import orthonormalize
 
 __all__ = [
     "ModulusSample", "GammaEstimate",
@@ -91,11 +95,7 @@ class GammaEstimate:
 
 def _section_basis(p: BoundaryPoint, u) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (e_t, e_n) of the section plane span{u, grad}."""
-    v = check_direction(p, u)
-    e_t = v / float(np.linalg.norm(v))
-    w = p.grad - float(np.dot(p.grad, e_t)) * e_t
-    e_n = w / float(np.linalg.norm(w))
-    return e_t, e_n
+    return tuple(orthonormalize([check_direction(p, u), p.grad]))
 
 
 def _circle_roots(
@@ -259,19 +259,6 @@ def _circles(p: BoundaryPoint, u, radii):
         yield r, etas, [float(np.dot(p.point - eta, p.dual)) for eta in etas]
 
 
-def _sample(p: BoundaryPoint, u, radii) -> list[ModulusSample]:
-    """Sampled modulus at each chord radius."""
-    samples = []
-    for r, etas, drops in _circles(p, u, radii):
-        value = min(drops)
-        band = max(1e-12, 1e-6 * abs(value))
-        witnesses = tuple(
-            eta for eta, d in zip(etas, drops) if d - value <= band
-        )
-        samples.append(ModulusSample(r=r, value=value, witnesses=witnesses))
-    return samples
-
-
 def modulus_bruteforce(p: BoundaryPoint, u, r: float) -> ModulusSample:
     """Sample the two-dimensional modulus of strict convexity at chord radius r.
 
@@ -288,7 +275,11 @@ def modulus_bruteforce(p: BoundaryPoint, u, r: float) -> ModulusSample:
         raise InputError(
             f"chord radius must satisfy 0 < r < delta = {p.body.delta}, got {r!r}"
         )
-    return _sample(p, u, [r])[0]
+    ((_, etas, drops),) = _circles(p, u, [r])
+    value = min(drops)
+    band = max(1e-12, 1e-6 * abs(value))
+    witnesses = tuple(eta for eta, d in zip(etas, drops) if d - value <= band)
+    return ModulusSample(r=r, value=value, witnesses=witnesses)
 
 
 def gamma_estimate(p: BoundaryPoint, u) -> GammaEstimate:
@@ -307,7 +298,7 @@ def gamma_estimate(p: BoundaryPoint, u) -> GammaEstimate:
     r0 = min(p.body.delta / 4.0, 0.1)
     radii = [r0 * 0.5**k for k in range(7)]
     _check_resolved(p, radii[-1])
-    quotients = [s.value / (s.r * s.r) for s in _sample(p, u, radii)]
+    quotients = [min(drops) / (r * r) for r, _, drops in _circles(p, u, radii)]
     return GammaEstimate(estimate=quotients[-1], quotients=tuple(quotients))
 
 

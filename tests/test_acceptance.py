@@ -332,7 +332,7 @@ def test_acceptance_07_invariance_suite():
         if not rel_close(num / den, got, 1e-14, floor=1e-18):
             failures.append(f"trial {trial}: frame gamma {got!r} vs componentwise {num / den!r}")
 
-        ext = extrema(p, frame)
+        ext = extrema(p)
         if not ext.kappa_min - 1e-10 <= base.kappa_hat <= ext.kappa_max + 1e-10:
             failures.append(
                 f"trial {trial}: kappa {base.kappa_hat!r} outside "

@@ -133,6 +133,25 @@ def test_goldman_flat_section_ratio_is_null(body_file, capsys):
     assert doc["ratio_general_to_closed"] is None
 
 
+ELLIPSOID = {"n": 3, "f": "x1^2 + 2*x2^2 + 3*x3^2 + x1*x2 - 4", "delta": 0.5}
+
+
+@pytest.mark.parametrize("body,point,j", [
+    (ELLIPSOID, "2,0,0", 2), (ELLIPSOID, "2,0,0", 3), (QUARTIC, "0.5,0.9375", 2),
+    (SPHERE, "0,0,2", 1),
+])
+def test_goldman_kappa_equals_report_frame_kappa_bit_for_bit(body_file, capsys, body, point, j):
+    # both read the frame vector u^j of the same tangent frame
+    path = body_file(body)
+    code, out = invoke(capsys, ["goldman", "--body", path, "--point", point, "--j", str(j)])
+    assert code == 0
+    kappa = first_json(out)["kappa_hat"]
+    code, out = invoke(capsys, ["report", "--body", path, "--point", point])
+    assert code == 0
+    (entry,) = [e for e in first_json(out)["directions"] if e["frame_index"] == j]
+    assert float(kappa).hex() == float(entry["kappa_hat"]).hex()
+
+
 def test_goldman_pivot_index_rejected(body_file, capsys):
     code, out = invoke(capsys, ["goldman", "--body", body_file(SPHERE),
                                 "--point", "0,0,2", "--j", "3"])

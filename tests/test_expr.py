@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from conftest import quadric_body
 
-from dircurv import expr
+from dircurv import ImplicitBody, expr
 from dircurv.errors import (
     DivisionByZeroError,
     ExpressionSyntaxError,
@@ -305,6 +305,47 @@ def test_batch_evaluation_matches_columns_bit_for_bit(tree, points):
     batch = expr.evaluate(tree, x)
     assert batch.shape == (x.shape[1],)
     assert _same_bits(batch, columns)
+
+
+@st.composite
+def _field_at_point(draw):
+    """A field over x1..xn, n = 2..5, with quotients and powers, and a point."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    leaf = st.one_of(
+        st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]).map(expr.Number),
+        st.integers(min_value=1, max_value=n).map(expr.Variable),
+    )
+    tree = draw(st.recursive(leaf, _batch_combine, max_leaves=10))
+    return n, tree, draw(st.lists(_batch_coord, min_size=n, max_size=n))
+
+
+@given(_field_at_point())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_gradient_and_hessian_equal_per_tree_evaluation_bit_for_bit(case):
+    n, tree, point = case
+    try:
+        origin = expr.evaluate(tree, [0.0] * n)
+    except DivisionByZeroError:
+        origin = math.nan
+    assume(math.isfinite(origin))
+    body = ImplicitBody(n=n, f=expr.Sub(tree, expr.Number(abs(origin) + 1.0)), delta=1.0)
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1)]
+    try:
+        grad = [expr.evaluate(body.partial(k), point) for k in range(1, n + 1)]
+    except DivisionByZeroError:
+        with pytest.raises(DivisionByZeroError):
+            body.gradient(point)
+    else:
+        assert body.gradient(point).tobytes() == np.array(grad).tobytes()
+    try:
+        hess = [expr.evaluate(body.second_partial(k, l), point) for k, l in pairs]
+    except DivisionByZeroError:
+        with pytest.raises(DivisionByZeroError):
+            body.hessian(point)
+        return
+    h = body.hessian(point)
+    assert h.tobytes() == np.array(hess).reshape(n, n).tobytes()
+    assert h.tobytes() == h.T.copy().tobytes()
 
 
 def test_batch_with_one_zero_denominator_raises():
