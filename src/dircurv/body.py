@@ -70,7 +70,7 @@ class ImplicitBody:
         delta: locality radius within which {f = 0} is the boundary of F.
         tol_boundary: half-width of the boundary membership band.
         tol_pivot: relative threshold for "nonvanishing" partial derivatives.
-        Both tolerances must be finite and positive.
+        Both tolerances must be finite and positive, and tol_pivot below 1.
     """
 
     n: int
@@ -89,6 +89,8 @@ class ImplicitBody:
         for key, tol in (("boundary", self.tol_boundary), ("pivot", self.tol_pivot)):
             if not (tol > 0.0 and np.isfinite(tol)):  # an inf or nan band accepts any point
                 raise InvalidBodyError(f"tolerance {key!r} must be finite and positive: {tol!r}")
+        if not self.tol_pivot < 1.0:  # no partial exceeds tol_pivot * max|partial|, so no pivot
+            raise InvalidBodyError(f"tolerance 'pivot' must be below 1: {self.tol_pivot!r}")
         origin_value = expr.evaluate(self.f, np.zeros(self.n))
         if not origin_value < 0.0:
             raise InvalidBodyError(
@@ -174,8 +176,14 @@ class TangentFrame:
 
 def _vector(v, n: int, what: str) -> np.ndarray:
     """v as a float array; ``DimensionMismatchError`` unless its length is n,
-    ``InputError`` unless its coordinates are finite."""
-    v = np.asarray(v, dtype=float)
+    ``InputError`` unless its coordinates are real, in the float range and finite."""
+    try:
+        v = np.asarray(v)
+        if v.dtype.kind == "c":  # a float cast would drop the imaginary part
+            raise TypeError
+        v = v.astype(float, copy=False)
+    except (ValueError, TypeError, OverflowError):  # text, ragged, objects, huge integers
+        raise InputError(f"{what} is not a vector of real numbers") from None
     if v.ndim != 1 or v.shape[0] != n:
         raise DimensionMismatchError(f"{what} must have length {n}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -271,7 +279,7 @@ def check_direction(p: BoundaryPoint, u) -> np.ndarray:
 
     Raises:
         DimensionMismatchError: u is not a vector of length n.
-        InputError: u has a non-finite coordinate.
+        InputError: u is not a vector of real numbers, or has a non-finite coordinate.
         ZeroDirectionError: u is the zero vector.
         NotTangentError: u is not orthogonal to the gradient (1e-9 relative).
     """
@@ -315,7 +323,7 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
     silent.
 
     Raises:
-        InputError: x has a non-finite coordinate.
+        InputError: x is not a vector of real numbers, or has a non-finite coordinate.
         RayEscapesError: no sign change inside the bracket (the ray never
             leaves the f <= 0 region, e.g. an unbounded body).
         NonFiniteValueError: the crossing x/lambda has a non-finite
@@ -370,6 +378,16 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
 _TOLERANCE_KEYS = {"boundary", "pivot"}
 
 
+def _number(what: str, value) -> float:
+    """A JSON number (not a bool) as a float; ``InvalidBodyError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidBodyError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range; its repr may be too long to print
+        raise InvalidBodyError(f"{what} must be a number in the float range") from None
+
+
 def body_from_dict(obj: Mapping) -> ImplicitBody:
     """Build a body from its JSON object form.
 
@@ -391,9 +409,7 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
     text = obj["f"]
     if not isinstance(text, str):
         raise InvalidBodyError("'f' must be a string in the expression grammar")
-    delta = obj["delta"]
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-        raise InvalidBodyError(f"'delta' must be a number, got {delta!r}")
+    delta = _number("'delta'", obj["delta"])
     tols = {}
     if "tolerances" in obj:
         block = obj["tolerances"]
@@ -403,8 +419,6 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
         if unknown:
             raise InvalidBodyError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, value in block.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidBodyError(f"tolerance {key!r} must be a number, got {value!r}")
-            tols["tol_" + key] = float(value)
+            tols["tol_" + key] = _number(f"tolerance {key!r}", value)
     f = expr.parse(text, n)
-    return ImplicitBody(n=n, f=f, delta=float(delta), **tols)
+    return ImplicitBody(n=n, f=f, delta=delta, **tols)

@@ -54,7 +54,7 @@ def _load_body(path: str) -> tuple[ImplicitBody, str]:
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read body file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge integer, deep nesting
         raise InputError(f"body file is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -70,23 +70,15 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 
 def _to_jsonable(obj):
+    """The envelope with arrays as lists and non-finite floats as "inf", "-inf" or "nan"."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return v
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 

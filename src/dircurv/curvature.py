@@ -23,7 +23,7 @@ directions together with directions attaining them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def translate_body(body: ImplicitBody, y) -> ImplicitBody:
 
     Raises:
         DimensionMismatchError: y is not a vector of length n.
-        InputError: y has a non-finite coordinate.
+        InputError: y is not a vector of real numbers, or has a non-finite coordinate.
         NotInteriorError: f(y) >= 0, so y is not an interior point.
     """
     y = _vector(y, body.n, "center")
@@ -192,7 +192,4 @@ def translate_body(body: ImplicitBody, y) -> ImplicitBody:
         if y[k - 1] != 0.0:
             replacements[k] = expr.Add(expr.Variable(k), expr.Number(y[k - 1]))
     g = expr.substitute(body.f, replacements) if replacements else body.f
-    return ImplicitBody(
-        n=body.n, f=g, delta=body.delta,
-        tol_boundary=body.tol_boundary, tol_pivot=body.tol_pivot,
-    )
+    return replace(body, f=g)

@@ -99,7 +99,9 @@ def _neg(a: "Expression") -> "Expression":
 
 
 class Expression:
-    """Base node.  Subclasses implement _eval, _diff, __str__ and _prec."""
+    """Base node.  Subclasses implement _eval, _diff and _prec, and either
+    __str__ or, for the binary nodes, the operator spelling _op that
+    _Binary.__str__ prints and the parser reads."""
 
     __slots__ = ()
     _prec = 5  # atoms; binary nodes override
@@ -161,8 +163,12 @@ class _Binary(Expression):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
+    def __str__(self):
+        return f"{self._fmt(self.left, self._prec)}{self._op}{self._fmt(self.right, self._prec + 1)}"
+
 
 class Add(_Binary):
+    _op = " + "
     _prec = 1
 
     def _eval(self, x):
@@ -171,11 +177,9 @@ class Add(_Binary):
     def _diff(self, k):
         return _add(self.left._diff(k), self.right._diff(k))
 
-    def __str__(self):
-        return f"{self._fmt(self.left, 1)} + {self._fmt(self.right, 2)}"
-
 
 class Sub(_Binary):
+    _op = " - "
     _prec = 1
 
     def _eval(self, x):
@@ -184,11 +188,9 @@ class Sub(_Binary):
     def _diff(self, k):
         return _sub(self.left._diff(k), self.right._diff(k))
 
-    def __str__(self):
-        return f"{self._fmt(self.left, 1)} - {self._fmt(self.right, 2)}"
-
 
 class Mul(_Binary):
+    _op = "*"
     _prec = 2
 
     def _eval(self, x):
@@ -199,11 +201,9 @@ class Mul(_Binary):
         return _add(_mul(self.left._diff(k), self.right),
                     _mul(self.left, self.right._diff(k)))
 
-    def __str__(self):
-        return f"{self._fmt(self.left, 2)}*{self._fmt(self.right, 3)}"
-
 
 class Div(_Binary):
+    _op = "/"
     _prec = 2
 
     def _eval(self, x):
@@ -221,9 +221,6 @@ class Div(_Binary):
         num = _sub(_mul(self.left._diff(k), self.right),
                    _mul(self.left, self.right._diff(k)))
         return num if _is_zero(num) else Div(num, Pow(self.right, 2))
-
-    def __str__(self):
-        return f"{self._fmt(self.left, 2)}/{self._fmt(self.right, 3)}"
 
 
 class Pow(Expression):
@@ -283,6 +280,7 @@ class Neg(Expression):
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _VAR_RE = re.compile(r"x(\d+)")
+_BINARY = {cls._op.strip(): cls for cls in (Add, Sub, Mul, Div)}  # token kind -> node class
 
 
 class _Token:
@@ -365,21 +363,14 @@ class _Parser:
         self.at += 1
         return tok
 
-    def parse_expr(self) -> tuple[Expression, int]:
-        node, depth = self.parse_term()
-        while self.peek().kind in "+-":
+    def parse_binary(self, prec: int) -> tuple[Expression, int]:
+        """A left-associative chain of the operators of precedence ``prec``:
+        1 for ``+ -`` over terms, 2 for ``* /`` over factors."""
+        node, depth = self.parse_binary(2) if prec == 1 else self.parse_factor()
+        while (cls := _BINARY.get(self.peek().kind)) is not None and cls._prec == prec:
             op = self.advance()
-            rhs, rhs_depth = self.parse_term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-            depth = self.deeper(max(depth, rhs_depth), op)
-        return node, depth
-
-    def parse_term(self) -> tuple[Expression, int]:
-        node, depth = self.parse_factor()
-        while self.peek().kind in "*/":
-            op = self.advance()
-            rhs, rhs_depth = self.parse_factor()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            rhs, rhs_depth = self.parse_binary(2) if prec == 1 else self.parse_factor()
+            node = cls(node, rhs)
             depth = self.deeper(max(depth, rhs_depth), op)
         return node, depth
 
@@ -423,7 +414,7 @@ class _Parser:
             return Variable(tok.value), 0
         if tok.kind == "(":
             self.enter(self.advance())
-            node, depth = self.parse_expr()
+            node, depth = self.parse_binary(1)
             closing = self.peek()
             if closing.kind != ")":
                 raise ExpressionSyntaxError("expected ')'", closing.position)
@@ -442,7 +433,7 @@ def parse(text: str, n: int) -> Expression:
             ``MAX_DEPTH`` levels.
     """
     parser = _Parser(_tokenize(text, n))
-    node, _ = parser.parse_expr()
+    node, _ = parser.parse_binary(1)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.position)

@@ -130,8 +130,8 @@ def _unit_scale(gnorm: float) -> float:
     return math.ldexp(1.0, -min(max(round(math.log2(gnorm)), -1023), 1022))
 
 
-def _tangent(p: BoundaryPoint, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Tan = W . (s p.grad) and s = ``_unit_scale(|grad f|)``, so that |grad (s f)| is near 1."""
+def _tangent(p: BoundaryPoint, w: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Tan = W . (s p.grad), |Tan| and s = ``_unit_scale(|grad f|)``, so that |grad (s f)| is near 1."""
     s = _unit_scale(p.gnorm)
     tan = w @ (s * p.grad)
     tnorm = float(np.linalg.norm(tan))
@@ -140,7 +140,7 @@ def _tangent(p: BoundaryPoint, w: np.ndarray) -> tuple[np.ndarray, float]:
             "intersection-curve tangent vanishes; the cutting planes do not "
             "select a curve through the point"
         )
-    return tan, s
+    return tan, tnorm, s
 
 
 @np.errstate(all="ignore")  # overflow is reported by the finiteness checks
@@ -151,7 +151,7 @@ def goldman_tangent(p: BoundaryPoint, system: PlaneSystem) -> np.ndarray:
         DegenerateTangentError: the tangent vector vanishes.
         NonFiniteValueError: the tangent overflows.
     """
-    tan, s = _tangent(p, _tangent_weights(system))
+    tan, _, s = _tangent(p, _tangent_weights(system))
     tan = tan / s
     require_finite("tangent", tan)
     return tan
@@ -170,9 +170,8 @@ def goldman_curvature_general(p: BoundaryPoint, system: PlaneSystem) -> float:
         NonFiniteValueError: the curvature overflows.
     """
     w = _tangent_weights(system)
-    tan, s = _tangent(p, w)
+    tan, tnorm, s = _tangent(p, w)
     accel = tan @ ((s * p.hess) @ w.T)
-    tnorm = float(np.linalg.norm(tan))
     k = exterior_magnitude(accel, tan) / tnorm**3
     require_finite("k_general", k)
     return k

@@ -1,4 +1,4 @@
-"""Dense kernels for small vectors and matrices (n <= 16).
+"""Dense kernels for small vectors and matrices (n <= body.MAX_DIMENSION = 256).
 
 determinant        -- LAPACK LU with partial pivoting, one matrix or a stack
 exterior_magnitude -- wedge-product magnitude from the 2x2 minors

@@ -22,6 +22,7 @@ from dircurv import (
     minkowski_gauge,
     plane_system,
     tangent_frame,
+    translate_body,
     validate_point,
 )
 from dircurv.body import MAX_DIMENSION, check_direction
@@ -68,6 +69,8 @@ def test_body_from_dict_custom_tolerances():
     {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {"boundary": math.inf}},
     {"n": 1, "f": "x1 - 1", "delta": 0.5},
     "not a mapping",
+    {"n": 2, "f": "x1 - 1", "delta": 10**399},   # 400 digits, beyond the float range
+    {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {"boundary": 10**399}},
 ])
 def test_body_from_dict_rejects_malformed(bad):
     with pytest.raises(InvalidBodyError):
@@ -129,6 +132,25 @@ def test_validate_rejects_off_boundary(disk_body):
 def test_validate_rejects_wrong_dimension(disk_body):
     with pytest.raises(DimensionMismatchError):
         validate_point(disk_body, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("v", [
+    "ab", [[1, 2], [3]], [0, {}], [10**400, 0], np.array([1 + 0j, 0j]),
+], ids=["text", "ragged", "object", "huge-int", "complex"])
+def test_vector_callers_reject_non_real_vectors(disk_body, disk_point, v):
+    # a bare float cast would drop the imaginary part of the complex array
+    calls = [
+        lambda: validate_point(disk_body, v),
+        lambda: minkowski_gauge(disk_body, v),
+        lambda: check_direction(disk_point, v),
+        lambda: kappa_directional(disk_point, v),
+        lambda: translate_body(disk_body, v),
+    ]
+    for call in calls:
+        with pytest.raises(InputError) as exc:
+            call()
+        assert exc.value.code == "input_error"
+        assert exc.value.message.endswith("is not a vector of real numbers")
 
 
 @pytest.mark.parametrize("f,x,what", [
@@ -410,3 +432,16 @@ def test_implicit_body_rejects_non_finite_or_nonpositive_tolerance(tol, value):
     with pytest.raises(InvalidBodyError) as exc:
         ImplicitBody(n=2, f=f, delta=0.5, **{tol: value})
     assert "finite and positive" in exc.value.message
+
+
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_pivot_tolerance_of_one_or_more_is_invalid_body(value):
+    # no partial passes |g_i| > tol_pivot * max|g|, so no pivot would exist
+    f = expr.Sub(expr.Add(expr.Pow(expr.Variable(1), 2), expr.Pow(expr.Variable(2), 2)),
+                 expr.Number(1.0))
+    with pytest.raises(InvalidBodyError) as exc:
+        ImplicitBody(n=2, f=f, delta=0.5, tol_pivot=value)
+    assert "must be below 1" in exc.value.message
+    with pytest.raises(InvalidBodyError):
+        body_from_dict({"n": 2, "f": "10*x1^2 + 10*x2^2 - 10", "delta": 0.5,
+                        "tolerances": {"pivot": value}})

@@ -32,6 +32,13 @@ def invoke(capsys, argv):
     return code, out
 
 
+def run_fresh(argv):
+    """``python -m dircurv`` in a fresh interpreter, so that a traceback or warning reaches stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dircurv.__file__)))
+    return subprocess.run([sys.executable, "-m", "dircurv", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+
 def first_json(out):
     return json.loads(out.splitlines()[0])
 
@@ -236,12 +243,7 @@ SHARP = {"n": 2, "f": "1e300*x1^2 + 2e-9*x2 - 2e-9", "delta": 0.5}
     (HUGE_SPHERE, ["goldman", "--point", "0,0,1", "--j", "1"]),
 ])
 def test_overflow_prints_nothing_on_stderr(body_file, body, argv):
-    # a fresh interpreter, so that warnings reach stderr as they would for a user
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dircurv.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = [argv[0], "--body", body_file(body), *argv[1:]]
-    proc = subprocess.run([sys.executable, "-m", "dircurv", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh([argv[0], "--body", body_file(body), *argv[1:]])
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 1
 
@@ -316,16 +318,27 @@ DEEP_PARENS = {"n": 2, "f": "(" * 3000 + "x1^2 + x2^2 - 1" + ")" * 3000, "delta"
 
 @pytest.mark.parametrize("delta", [1e-300, 1e-20])
 def test_tiny_delta_verify_prints_one_json_error(body_file, delta):
-    # a fresh interpreter, so that a traceback or warning would reach stderr
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dircurv.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["verify", "--body", body_file(dict(DISK, delta=delta)), "--point", "1,0"]
-    proc = subprocess.run([sys.executable, "-m", "dircurv", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh(["verify", "--body", body_file(dict(DISK, delta=delta)), "--point", "1,0"])
     assert proc.stderr == ""
     assert proc.returncode == 3
     assert len(proc.stdout.splitlines()) == 1
     assert json.loads(proc.stdout)["error"]["code"] == "unresolved_radius"
+
+
+@pytest.mark.parametrize("content,error", [
+    (b'{"n": 2, "f": "x1^2 + x2^2 - 1\xff", "delta": 0.5}', "input_error"),   # not UTF-8
+    (b'{"n": 2, "f": "x1^2 + x2^2 - 1", "delta": ' + b"9" * 5000 + b"}", "input_error"),
+    (b"[" * 200000, "input_error"),
+    (b'{"n": 2, "f": "x1^2 + x2^2 - 1", "delta": 1' + b"0" * 399 + b"}", "invalid_body"),
+], ids=["non-utf8", "5000-digit-int", "deep-nesting", "400-digit-delta"])
+def test_undecodable_body_file_prints_one_json_error(tmp_path, content, error):
+    path = tmp_path / "body.json"
+    path.write_bytes(content)
+    proc = run_fresh(["report", "--body", str(path), "--point", "1,0"])
+    assert proc.stderr == ""
+    assert proc.returncode == 2
+    assert len(proc.stdout.splitlines()) == 1
+    assert json.loads(proc.stdout)["error"]["code"] == error
 
 
 @pytest.mark.parametrize("body,argv,error", [
