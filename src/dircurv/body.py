@@ -26,6 +26,7 @@ hyperplane itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -80,10 +81,15 @@ class ImplicitBody:
     tol_pivot: float = 1e-9
 
     def __post_init__(self):
+        for name, what in (("delta", "'delta'"), ("tol_boundary", "tolerance 'boundary'"),
+                           ("tol_pivot", "tolerance 'pivot'")):
+            object.__setattr__(self, name, _number(what, getattr(self, name)))
+        # str() of an integer past 4,300 digits raises ValueError, so a huge n is not printed
+        shown = self.n if abs(self.n) < 1e9 else "a number of magnitude 1e9 or more"
         if self.n < 2:
-            raise InvalidBodyError(f"dimension must be >= 2, got {self.n}")
+            raise InvalidBodyError(f"dimension must be >= 2, got {shown}")
         if self.n > MAX_DIMENSION:
-            raise InvalidBodyError(f"dimension must be <= {MAX_DIMENSION}, got {self.n}")
+            raise InvalidBodyError(f"dimension must be <= {MAX_DIMENSION}, got {shown}")
         if not (self.delta > 0.0 and np.isfinite(self.delta)):
             raise InvalidBodyError(f"locality radius must be positive, got {self.delta}")
         for key, tol in (("boundary", self.tol_boundary), ("pivot", self.tol_pivot)):
@@ -329,6 +335,11 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
         NonFiniteValueError: the crossing x/lambda has a non-finite
             coordinate, or f is not finite there.
     """
+    return _gauge(body, x)[0]
+
+
+def _gauge(body: ImplicitBody, x) -> tuple[float, float]:
+    """``minkowski_gauge``'s lambda and f(x/lambda), from the evaluation that checks f is finite."""
     x = _vector(x, body.n, "point")
     if not np.any(x):
         raise ZeroDirectionError("the gauge of the zero vector is not defined by a ray crossing")
@@ -337,30 +348,27 @@ def minkowski_gauge(body: ImplicitBody, x) -> float:
     def ray(lam: float) -> list[float]:
         return [c / lam for c in xs]
 
-    def crossing(lam: float) -> float:
+    def crossing(lam: float) -> tuple[float, float]:
         boundary = ray(lam)
-        if not (all(map(math.isfinite, boundary)) and math.isfinite(body.value(boundary))):
+        value = body.value(boundary) if all(map(math.isfinite, boundary)) else math.nan
+        if not math.isfinite(value):
             raise NonFiniteValueError(
                 f"the ray crosses f = 0 at lambda = {lam!r}, where x/lambda or f is not finite",
                 location="boundary_point",
             )
-        return lam
+        return lam, value
 
     grid = [10.0 ** e for e in range(9, -10, -1)]  # 1e9 down to 1e-9
     with np.errstate(over="ignore"):
         values = body.value(x[:, None] / np.array(grid)).tolist()  # one array pass
-    lo = hi = None
     for i, (lam, val) in enumerate(zip(grid, values)):
         if val == 0.0:
             return crossing(lam)
         if i and (val > 0.0) != (values[i - 1] > 0.0):
-            lo, hi = lam, grid[i - 1]  # f(x/lo), f(x/hi) have opposite signs
-            lo_positive = val > 0.0
+            lo, hi, lo_positive = lam, grid[i - 1], val > 0.0  # f(x/lo), f(x/hi) differ in sign
             break
-    if lo is None:
-        raise RayEscapesError(
-            "no boundary crossing in the gauge bracket [1e-9, 1e9] along the ray"
-        )
+    else:
+        raise RayEscapesError("no boundary crossing in the gauge bracket [1e-9, 1e9] along the ray")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -379,8 +387,8 @@ _TOLERANCE_KEYS = {"boundary", "pivot"}
 
 
 def _number(what: str, value) -> float:
-    """A JSON number (not a bool) as a float; ``InvalidBodyError`` naming ``what`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number (not a bool) as a float; ``InvalidBodyError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidBodyError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
@@ -393,7 +401,7 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
 
     Schema: {"n": int >= 2, "f": string in the expression grammar,
     "delta": number > 0, "tolerances": {"boundary"?: number, "pivot"?: number}}.
-    Unknown keys anywhere are rejected; ``ImplicitBody`` checks the ranges.
+    Unknown keys anywhere are rejected; ``ImplicitBody`` casts the numbers and checks the ranges.
     """
     if not isinstance(obj, Mapping):
         raise InvalidBodyError("body JSON must be an object")
@@ -409,7 +417,6 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
     text = obj["f"]
     if not isinstance(text, str):
         raise InvalidBodyError("'f' must be a string in the expression grammar")
-    delta = _number("'delta'", obj["delta"])
     tols = {}
     if "tolerances" in obj:
         block = obj["tolerances"]
@@ -419,6 +426,6 @@ def body_from_dict(obj: Mapping) -> ImplicitBody:
         if unknown:
             raise InvalidBodyError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, value in block.items():
-            tols["tol_" + key] = _number(f"tolerance {key!r}", value)
+            tols["tol_" + key] = value
     f = expr.parse(text, n)
-    return ImplicitBody(n=n, f=f, delta=delta, **tols)
+    return ImplicitBody(n=n, f=f, delta=obj["delta"], **tols)

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .body import ImplicitBody, body_from_dict, minkowski_gauge, tangent_frame, validate_point
+from .body import ImplicitBody, _gauge, body_from_dict, tangent_frame, validate_point
 from .curvature import extrema, gamma_directional, kappa_directional
 from .errors import DircurvError, InputError
 from .goldman import (
@@ -195,13 +195,8 @@ def _cmd_verify(args, body: ImplicitBody, x: np.ndarray) -> dict:
 
 
 def _cmd_gauge(args, body: ImplicitBody, x: np.ndarray) -> dict:
-    lam = minkowski_gauge(body, x)
-    boundary = x / lam
-    return {
-        "gauge": lam,
-        "boundary_point": boundary,
-        "f_at_boundary": body.value(boundary),
-    }
+    lam, value = _gauge(body, x)
+    return {"gauge": lam, "boundary_point": x / lam, "f_at_boundary": value}
 
 
 _HANDLERS = {

@@ -14,10 +14,13 @@ rows,
     Tan_m = (-1)^(1+m) det(matrix with column m removed).
 
 Expanded along the f row, every component is a linear combination of the
-partials of f with constant weights, the signed minors of the plane rows:
-Tan = W . grad f for a constant antisymmetric matrix W, hence
-d Tan / dx = H . W^T exactly, with H the Hessian of f.  The curve
-curvature is then
+partials of f with constant weights: Tan = W . grad f for a constant
+antisymmetric matrix W.  The weights are the signed minors of the plane rows
+R, but they are not formed one by one: with (a, b) an orthonormal basis of
+ker R, taken from one complete QR of R^T, and M = [R; a^T; b^T], Jacobi's
+complementary-minor identity gives W = det(M) (a b^T - b a^T), in O(n^2)
+memory.  Hence d Tan / dx = H . W^T exactly, with H the Hessian of f.  The
+curve curvature is then
 
     k_G = |(Tan . grad Tan) ^ Tan| / |Tan|^3,
 
@@ -40,9 +43,10 @@ on grad f and H multiplied by the power of two nearest 1/|grad f|: an exact
 scaling (barring underflow) that leaves every result bit as it was while
 |Tan|^3 and the closed form's products stay finite for fields of any scale.
 
-Tangent orientation is pinned only up to sign: the cofactor expansion and the
-closed-form magnitude agree in length, but their sign conventions differ for
-some (i, j) orderings, so all comparisons here are magnitude comparisons.
+Tangent orientation is pinned only up to sign: the generalized cross product
+and the closed-form magnitude agree in length, but their sign conventions
+differ for some (i, j) orderings, so all comparisons here are magnitude
+comparisons.
 """
 
 from __future__ import annotations
@@ -107,22 +111,20 @@ def plane_system(p: BoundaryPoint, j: int) -> PlaneSystem:
 def _tangent_weights(system: PlaneSystem) -> np.ndarray:
     """Constant matrix W with Tan = W . grad f, so that d Tan / dx = H . W^T.
 
-    Expanding the generalized cross product along the f row gives, for
-    m < c (1-based), W[m, c] = (-1)^(m+c+1) det(plane rows without columns
-    m and c).  W is antisymmetric (Tan . grad f = 0 for every gradient), so
-    only these n(n-1)/2 minors are computed, in one stacked determinant.
-    For n = 2, Tan = (-f_2, f_1).
+    Tan . v = det([v; grad f; R]) for the plane rows R.  Reduced by the rows
+    of R, v and grad f keep only their components along (a, b), the last two
+    columns of a complete QR of R^T (an orthonormal basis of ker R), so
+    W = det(M) (a b^T - b a^T) with M = [R; a^T; b^T].  A rotation or
+    reflection of (a, b) scales both factors by the same +-1, so W does not
+    depend on the basis QR returns.  For n = 2, Tan = (-f_2, f_1), the
+    opposite orientation of det([v; grad f]).
     """
-    n = system.rows.shape[1]
-    if n == 2:
+    rows = system.rows
+    if rows.shape[1] == 2:
         return np.array([[0.0, -1.0], [1.0, 0.0]])
-    upper = np.triu_indices(n, 1)
-    kept = [[col for col in range(n) if col != m and col != c] for m, c in zip(*upper)]
-    minors = system.rows[:, kept].transpose(1, 0, 2)  # (pairs, n-2, n-2)
-    signs = np.where((upper[0] + upper[1]) % 2 == 0, -1.0, 1.0)
-    w = np.zeros((n, n))
-    w[upper] = signs * determinant(minors)
-    return w - w.T
+    q, _ = np.linalg.qr(rows.T, mode="complete")
+    a, b = q[:, -2], q[:, -1]
+    return determinant(np.vstack([rows, a, b])) * (np.outer(a, b) - np.outer(b, a))
 
 
 def _unit_scale(gnorm: float) -> float:

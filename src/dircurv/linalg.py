@@ -1,6 +1,6 @@
 """Dense kernels for small vectors and matrices (n <= body.MAX_DIMENSION = 256).
 
-determinant        -- LAPACK LU with partial pivoting, one matrix or a stack
+determinant        -- LAPACK LU with partial pivoting of one square matrix
 exterior_magnitude -- wedge-product magnitude from the 2x2 minors
 orthonormalize     -- modified Gram-Schmidt (two passes)
 sym_eigen          -- LAPACK symmetric eigensolver, eigenvalues ascending
@@ -28,17 +28,12 @@ from .errors import (
 __all__ = ["determinant", "exterior_magnitude", "orthonormalize", "sym_eigen"]
 
 
-def determinant(a):
-    """Determinant by LAPACK's LU with partial pivoting (``numpy.linalg.det``).
-
-    A single square matrix gives a float; a stack of shape (..., k, k) gives
-    the array of its determinants, computed in one call.
-    """
+def determinant(a) -> float:
+    """Determinant of one square matrix by LAPACK's LU with partial pivoting (``numpy.linalg.det``)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    det = np.linalg.det(a)
-    return float(det) if a.ndim == 2 else det
+    return float(np.linalg.det(a))
 
 
 def exterior_magnitude(u, v) -> float:

@@ -46,6 +46,14 @@ def sphere3_point(sphere3):
     return validate_point(sphere3, [0.0, 0.0, 2.0])
 
 
+def halved_sphere(n, delta=0.5):
+    """The unit sphere in R^n as a body dict, its sum of squares written as two
+    parenthesised halves so that each left-deep chain stays under expr.MAX_DEPTH."""
+    half = n // 2
+    terms = [" + ".join(f"x{k}^2" for k in ks) for ks in (range(1, half + 1), range(half + 1, n + 1))]
+    return {"n": n, "f": f"({terms[0]}) + ({terms[1]}) - 1", "delta": delta}
+
+
 @pytest.fixture
 def cylinder_body():
     # infinite circular cylinder of radius 1.5 around the x2 axis

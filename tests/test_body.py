@@ -401,16 +401,19 @@ def test_implicit_body_accepts_prebuilt_tree():
 
 
 def test_implicit_body_rejects_bad_dimension():
-    with pytest.raises(InvalidBodyError):
-        ImplicitBody(n=1, f=expr.Sub(expr.Variable(1), expr.Number(1.0)), delta=0.5)
+    for n in (1, -10**5000):   # str() of a 5,001-digit integer raises ValueError
+        with pytest.raises(InvalidBodyError):
+            ImplicitBody(n=n, f=expr.Sub(expr.Variable(1), expr.Number(1.0)), delta=0.5)
 
 
 def test_dimension_above_the_limit_is_refused_before_allocation():
     f = expr.Sub(expr.Variable(1), expr.Number(1.0))
     assert ImplicitBody(n=MAX_DIMENSION, f=f, delta=0.5).n == MAX_DIMENSION
-    for n in (MAX_DIMENSION + 1, 10**15):   # np.zeros(10**15) would not fit in memory
-        with pytest.raises(InvalidBodyError):
+    for n in (MAX_DIMENSION + 1, 10**15, 10**5000):   # np.zeros(10**15) would not fit in memory
+        with pytest.raises(InvalidBodyError) as exc:
             ImplicitBody(n=n, f=f, delta=0.5)
+        assert exc.value.message == "dimension must be <= 256, got " + (
+            "257" if n == MAX_DIMENSION + 1 else "a number of magnitude 1e9 or more")
         with pytest.raises(InvalidBodyError):
             body_from_dict({"n": n, "f": "x1 - 1", "delta": 0.5})
 
@@ -432,6 +435,32 @@ def test_implicit_body_rejects_non_finite_or_nonpositive_tolerance(tol, value):
     with pytest.raises(InvalidBodyError) as exc:
         ImplicitBody(n=2, f=f, delta=0.5, **{tol: value})
     assert "finite and positive" in exc.value.message
+
+
+@pytest.mark.parametrize("value", [10**400, 1 + 1j, "0.5", None, True],
+                         ids=["401-digit", "complex", "text", "none", "bool"])
+@pytest.mark.parametrize("name", ["delta", "tol_boundary", "tol_pivot"])
+def test_implicit_body_reads_its_numbers_as_body_from_dict_does(name, value):
+    # direct construction raised a bare TypeError on each (delta = True was accepted)
+    f = expr.Sub(expr.Variable(1), expr.Number(1.0))
+    with pytest.raises(InvalidBodyError) as direct:
+        ImplicitBody(n=2, f=f, **dict({"delta": 0.5}, **{name: value}))
+    what = "'delta'" if name == "delta" else f"tolerance {name[4:]!r}"
+    assert direct.value.message == (
+        f"{what} must be a number in the float range" if value == 10**400
+        else f"{what} must be a number, got {value!r}")
+    obj = {"n": 2, "f": "x1 - 1", "delta": value} if name == "delta" else \
+        {"n": 2, "f": "x1 - 1", "delta": 0.5, "tolerances": {name[4:]: value}}
+    with pytest.raises(InvalidBodyError) as parsed:
+        body_from_dict(obj)
+    assert parsed.value.message == direct.value.message
+
+
+def test_implicit_body_casts_numpy_scalars_to_float():
+    body = ImplicitBody(n=2, f=expr.Sub(expr.Variable(1), expr.Number(1.0)),
+                        delta=np.float32(0.5), tol_boundary=np.int64(1), tol_pivot=np.float64(1e-9))
+    assert (body.delta, body.tol_boundary, body.tol_pivot) == (0.5, 1.0, 1e-9)
+    assert all(type(v) is float for v in (body.delta, body.tol_boundary, body.tol_pivot))
 
 
 @pytest.mark.parametrize("value", [1.0, 2.0])

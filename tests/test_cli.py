@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from conftest import halved_sphere
+
 import dircurv
+from dircurv import ImplicitBody, body_from_dict, minkowski_gauge
 from dircurv.cli import run
 
 SPHERE = {"n": 3, "f": "x1^2 + x2^2 + x3^2 - 4", "delta": 0.5}
@@ -166,6 +169,17 @@ def test_goldman_pivot_index_rejected(body_file, capsys):
     assert first_json(out)["error"]["code"] == "invalid_index"
 
 
+def test_goldman_at_the_largest_dimension_prints_one_json_line(body_file):
+    # n = body.MAX_DIMENSION; the stacked minors of the plane rows needed 15.7 GiB here
+    n = 256
+    proc = run_fresh(["goldman", "--body", body_file(halved_sphere(n)),
+                      "--point", ",".join(["0.0625"] * n), "--j", "2"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert doc["n"] == n and doc["k_general"] == pytest.approx(2.0 * doc["kappa_hat"], rel=n * 2.0**-52)
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -198,6 +212,25 @@ def test_gauge_reports_boundary_point(body_file, capsys):
     doc = first_json(out)
     assert doc["gauge"] == 2.0
     assert doc["boundary_point"] == [2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("body,point", [(SPHERE, "4,0,0"), (DISK, "0.3,0.4"), (QUARTIC, "1,3")])
+def test_gauge_evaluates_f_no_more_often_than_the_library_gauge(body_file, capsys, monkeypatch,
+                                                                body, point):
+    # f_at_boundary is the value the gauge computed at the crossing, not a second evaluation
+    counts = []
+    value = ImplicitBody.value
+
+    def counting(self, x):
+        counts.append(1)
+        return value(self, x)
+
+    monkeypatch.setattr(ImplicitBody, "value", counting)
+    code, _ = invoke(capsys, ["gauge", "--body", body_file(body), "--point", point])
+    assert code == 0
+    cli_calls = len(counts)
+    minkowski_gauge(body_from_dict(body), [float(c) for c in point.split(",")])
+    assert cli_calls == len(counts) - cli_calls
 
 
 def test_gauge_escaping_ray_is_numerical_error(body_file, capsys):
