@@ -56,8 +56,12 @@ class ExpressionSyntaxError(_PositionError):
 class UnknownVariableError(_PositionError):
     code = "unknown_variable"
 
-    def __init__(self, index: int, n: int, position: int):
-        super().__init__(f"variable x{index} is outside x1..x{n}", position)
+    def __init__(self, index: int | None, n: int, position: int):
+        """``index`` is None for one too long to convert; str() raises ValueError
+        past 4,300 digits, so neither it nor a huge n is printed."""
+        var = f"variable x{index}" if index is not None else "a variable with a huge index"
+        last = f"x{n}" if abs(n) < 1e9 else "xn, n of magnitude 1e9 or more"
+        super().__init__(f"{var} is outside x1..{last}", position)
         self.index = index
 
 

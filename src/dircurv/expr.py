@@ -35,6 +35,14 @@ NaN or a division error, and ``y + 0`` no longer turns ``-0.0`` into
 ``0.0``.  ``evaluate`` walks a tree in a fixed left-to-right order, so
 results are bit-for-bit reproducible.
 
+Every node carries ``_vars``, the bit mask of the variable indices under it
+(bit k set when x_k occurs), which its constructor sets once from its
+children's masks; an index past 1,024 sets every bit.  ``_diff`` returns the literal zero at once for a subtree
+whose mask lacks bit k, without walking it.  The rules above prune every
+x_k-free subtree to that same zero, so the derivative trees are exactly
+those of the full walk, while the work of one partial grows with the part of
+the tree that holds x_k.  All derivative trees share one immutable zero node.
+
 This module is the only one that walks a tree at a point.  ``evaluate``
 takes one point (a length-n sequence, walked as Python floats so overflow is
 silent; result a float) or a batch of m points as the columns of an
@@ -91,7 +99,7 @@ def _sub(a: "Expression", b: "Expression") -> "Expression":
 
 
 def _mul(a: "Expression", b: "Expression") -> "Expression":
-    return Number(0.0) if _is_zero(a) or _is_zero(b) else Mul(a, b)
+    return _ZERO if _is_zero(a) or _is_zero(b) else Mul(a, b)
 
 
 def _neg(a: "Expression") -> "Expression":
@@ -101,9 +109,10 @@ def _neg(a: "Expression") -> "Expression":
 class Expression:
     """Base node.  Subclasses implement _eval, _diff and _prec, and either
     __str__ or, for the binary nodes, the operator spelling _op that
-    _Binary.__str__ prints and the parser reads."""
+    _Binary.__str__ prints and the parser reads.  Each __init__ also sets
+    _vars, the bit mask of the variable indices in the subtree."""
 
-    __slots__ = ()
+    __slots__ = ("_vars",)
     _prec = 5  # atoms; binary nodes override
 
     def __setattr__(self, name, value):
@@ -127,15 +136,22 @@ class Number(Expression):
 
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "_vars", 0)
 
     def _eval(self, x):
         return self.value
 
     def _diff(self, k):
-        return Number(0.0)
+        return _ZERO
 
     def __str__(self):
         return repr(self.value)
+
+
+_ZERO = Number(0.0)  # the literal zero of every derivative tree; nodes are immutable, so it is shared
+# A variable past this index has the all-ones mask -1, which every subtree above it
+# inherits: it is always walked, and no 2**index-bit integer is built for a huge index.
+_MASK_BITS = 1024
 
 
 class Variable(Expression):
@@ -144,13 +160,17 @@ class Variable(Expression):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
-        object.__setattr__(self, "index", int(index))
+        index = int(index)
+        if index < 1:
+            raise ValueError("variable index must be >= 1")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_vars", 1 << index if index <= _MASK_BITS else -1)
 
     def _eval(self, x):
         return x[self.index - 1]
 
     def _diff(self, k):
-        return Number(1.0 if self.index == k else 0.0)
+        return Number(1.0) if self.index == k else _ZERO
 
     def __str__(self):
         return f"x{self.index}"
@@ -162,6 +182,7 @@ class _Binary(Expression):
     def __init__(self, left: Expression, right: Expression):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_vars", left._vars | right._vars)
 
     def __str__(self):
         return f"{self._fmt(self.left, self._prec)}{self._op}{self._fmt(self.right, self._prec + 1)}"
@@ -175,6 +196,8 @@ class Add(_Binary):
         return self.left._eval(x) + self.right._eval(x)
 
     def _diff(self, k):
+        if not self._vars >> k & 1:
+            return _ZERO
         return _add(self.left._diff(k), self.right._diff(k))
 
 
@@ -186,6 +209,8 @@ class Sub(_Binary):
         return self.left._eval(x) - self.right._eval(x)
 
     def _diff(self, k):
+        if not self._vars >> k & 1:
+            return _ZERO
         return _sub(self.left._diff(k), self.right._diff(k))
 
 
@@ -197,6 +222,8 @@ class Mul(_Binary):
         return self.left._eval(x) * self.right._eval(x)
 
     def _diff(self, k):
+        if not self._vars >> k & 1:
+            return _ZERO
         # product rule, children kept in source order
         return _add(_mul(self.left._diff(k), self.right),
                     _mul(self.left, self.right._diff(k)))
@@ -217,6 +244,8 @@ class Div(_Binary):
         return self.left._eval(x) / denom
 
     def _diff(self, k):
+        if not self._vars >> k & 1:
+            return _ZERO
         # (u/v)' = (u'v - uv') / v^2
         num = _sub(_mul(self.left._diff(k), self.right),
                    _mul(self.left, self.right._diff(k)))
@@ -235,6 +264,7 @@ class Pow(Expression):
             raise ValueError("exponent must be non-negative")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "_vars", base._vars)
 
     def _eval(self, x):
         # binary exponentiation on floats: deterministic and libm-free
@@ -250,8 +280,8 @@ class Pow(Expression):
         return result
 
     def _diff(self, k):
-        if self.exponent == 0:
-            return Number(0.0)
+        if self.exponent == 0 or not self._vars >> k & 1:
+            return _ZERO
         return _mul(Mul(Number(float(self.exponent)), Pow(self.base, self.exponent - 1)),
                     self.base._diff(k))
 
@@ -265,11 +295,14 @@ class Neg(Expression):
 
     def __init__(self, child: Expression):
         object.__setattr__(self, "child", child)
+        object.__setattr__(self, "_vars", child._vars)
 
     def _eval(self, x):
         return -self.child._eval(x)
 
     def _diff(self, k):
+        if not self._vars >> k & 1:
+            return _ZERO
         return _neg(self.child._diff(k))
 
     def __str__(self):
@@ -281,6 +314,10 @@ class Neg(Expression):
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _VAR_RE = re.compile(r"x(\d+)")
 _BINARY = {cls._op.strip(): cls for cls in (Add, Sub, Mul, Div)}  # token kind -> node class
+# the lowest limit sys.set_int_max_str_digits allows on int() and str() of a decimal
+# string (the default is 4,300 digits); a longer variable index is never converted
+_INDEX_DIGITS = 640
+_HUGE = 10 ** _INDEX_DIGITS
 
 
 class _Token:
@@ -297,6 +334,8 @@ def _tokenize(text: str, n: int) -> list[_Token]:
     tokens = []
     pos = 0
     length = len(text)
+    # no index in 1..n has more digits than n, so a longer one is refused before int()
+    width = len(str(n)) if -_HUGE < n < _HUGE else _INDEX_DIGITS
     while pos < length:
         ch = text[pos]
         if ch in " \t\r\n":
@@ -308,8 +347,9 @@ def _tokenize(text: str, n: int) -> list[_Token]:
             continue
         m = _VAR_RE.match(text, pos)
         if m:
-            index = int(m.group(1))
-            if index < 1 or index > n:
+            digits = m.group(1).lstrip("0")
+            index = int(digits or "0") if len(digits) <= width else None
+            if index is None or index < 1 or index > n:
                 raise UnknownVariableError(index, n, pos + 1)
             tokens.append(_Token("var", m.group(0), pos + 1, index))
             pos = m.end()
@@ -396,7 +436,7 @@ class _Parser:
                     tok.position,
                 )
             self.advance()
-            return int(tok.text)
+            return int(tok.text.lstrip("0") or "0")  # a finite literal: at most 309 digits left
         if tok.kind == "-":
             raise NonIntegerExponentError(
                 "exponent must be a non-negative integer literal, got a negative sign",

@@ -370,6 +370,29 @@ def test_gauge_equals_array_ray_bit_for_bit(disk_body, quartic_body, ellipsoid_b
     assert minkowski_gauge(cylinder_body, x) == _array_gauge(cylinder_body, x)
 
 
+@pytest.mark.parametrize("body,x", [
+    ("disk_body", [0.3, 0.7]),
+    ("disk_body", [1.0, 0.0]),          # f = 0 at lambda = 1, a point of the scan
+    ("quartic_body", [0.0, 2.0]),       # f = 0 at a bisection midpoint
+    ("quartic_body", [-0.7, 0.4]),
+    ("ellipsoid_body", [0.5, -1.5, 0.25]),
+])
+def test_gauge_evaluates_no_ray_point_twice(request, monkeypatch, body, x):
+    body = request.getfixturevalue(body)
+    seen = []
+    value = ImplicitBody.value
+
+    def recording(self, pts):
+        a = np.asarray(pts, dtype=float)
+        seen.extend(map(tuple, a.T.tolist()) if a.ndim == 2 else [tuple(a.tolist())])
+        return value(self, pts)
+
+    monkeypatch.setattr(ImplicitBody, "value", recording)
+    minkowski_gauge(body, x)
+    assert len(seen) >= 19  # the decade scan
+    assert len(set(seen)) == len(seen)
+
+
 @pytest.mark.parametrize("x", [[math.inf, 0.0], [math.nan, 0.0], [1.0, -math.inf]])
 def test_gauge_rejects_non_finite_point(disk_body, x):
     with pytest.raises(InputError):
@@ -404,6 +427,8 @@ def test_implicit_body_rejects_bad_dimension():
     for n in (1, -10**5000):   # str() of a 5,001-digit integer raises ValueError
         with pytest.raises(InvalidBodyError):
             ImplicitBody(n=n, f=expr.Sub(expr.Variable(1), expr.Number(1.0)), delta=0.5)
+        with pytest.raises(InputError):   # the parser refuses x1 first when n < 1
+            body_from_dict({"n": n, "f": "x1 - 1", "delta": 0.5})
 
 
 def test_dimension_above_the_limit_is_refused_before_allocation():

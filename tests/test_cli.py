@@ -363,7 +363,8 @@ def test_tiny_delta_verify_prints_one_json_error(body_file, delta):
     (b'{"n": 2, "f": "x1^2 + x2^2 - 1", "delta": ' + b"9" * 5000 + b"}", "input_error"),
     (b"[" * 200000, "input_error"),
     (b'{"n": 2, "f": "x1^2 + x2^2 - 1", "delta": 1' + b"0" * 399 + b"}", "invalid_body"),
-], ids=["non-utf8", "5000-digit-int", "deep-nesting", "400-digit-delta"])
+    (b'{"n": 2, "f": "x' + b"1" * 5000 + b' - 1", "delta": 0.5}', "unknown_variable"),
+], ids=["non-utf8", "5000-digit-int", "deep-nesting", "400-digit-delta", "5000-digit-index"])
 def test_undecodable_body_file_prints_one_json_error(tmp_path, content, error):
     path = tmp_path / "body.json"
     path.write_bytes(content)

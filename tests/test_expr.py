@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from conftest import quadric_body
+from conftest import quadric_body, quadric_boundary_point
 
 from dircurv import ImplicitBody, expr
 from dircurv.errors import (
@@ -85,6 +85,17 @@ def test_syntax_errors_carry_one_based_positions(text, position):
 def test_unknown_variable_rejected(text):
     with pytest.raises(UnknownVariableError):
         expr.parse(text, 2)
+
+
+def test_huge_variable_index_or_dimension_is_never_converted_or_printed():
+    # int() and str() raise ValueError on an integer of over 4,300 digits
+    for text, n in (("x" + "1" * 5000, 2), ("x" + "9" * 700, 10**5000), ("x1 - 1", -10**5000)):
+        with pytest.raises(UnknownVariableError) as exc:
+            expr.parse(text, n)
+        assert len(exc.value.message) < 100
+    assert expr.to_text(expr.parse("x" + "0" * 5000 + "2", 2)) == "x2"
+    assert expr.to_text(expr.parse("x1^" + "0" * 5000 + "2", 2)) == "x1^2"
+    assert expr.to_text(expr.parse("x1", 10**5000)) == "x1"
 
 
 @pytest.mark.parametrize("text", ["x1^2.5", "x1^-2", "x1^x2"])
@@ -372,9 +383,15 @@ def test_batch_of_leaves_is_a_fresh_array():
 # ---------------------------------------------------------------- pruning
 
 
+def _nodes(e):
+    yield e
+    for a in ("left", "right", "base", "child"):
+        if hasattr(e, a):
+            yield from _nodes(getattr(e, a))
+
+
 def _size(e):
-    children = [getattr(e, a) for a in ("left", "right", "base", "child") if hasattr(e, a)]
-    return 1 + sum(_size(c) for c in children)
+    return sum(1 for _ in _nodes(e))
 
 
 def _raw_diff(e, k):
@@ -400,6 +417,111 @@ def _raw_diff(e, k):
         return expr.Mul(expr.Mul(expr.Number(float(e.exponent)), expr.Pow(e.base, e.exponent - 1)),
                         _raw_diff(e.base, k))
     return expr.Neg(_raw_diff(e.child, k))
+
+
+def _pruned_diff(e, k):
+    """The pruned rules of ``differentiate`` without the variable mask: every
+    subtree is walked, and an x_k-free one prunes to a literal zero."""
+    def zero(d):
+        return isinstance(d, expr.Number) and d.value == 0.0
+
+    def add(a, b):
+        return b if zero(a) else a if zero(b) else expr.Add(a, b)
+
+    def sub(a, b):
+        return a if zero(b) else neg(b) if zero(a) else expr.Sub(a, b)
+
+    def mul(a, b):
+        return expr.Number(0.0) if zero(a) or zero(b) else expr.Mul(a, b)
+
+    def neg(a):
+        return a if zero(a) else expr.Neg(a)
+
+    if isinstance(e, expr.Number):
+        return expr.Number(0.0)
+    if isinstance(e, expr.Variable):
+        return expr.Number(1.0 if e.index == k else 0.0)
+    if isinstance(e, expr.Add):
+        return add(_pruned_diff(e.left, k), _pruned_diff(e.right, k))
+    if isinstance(e, expr.Sub):
+        return sub(_pruned_diff(e.left, k), _pruned_diff(e.right, k))
+    if isinstance(e, expr.Mul):
+        return add(mul(_pruned_diff(e.left, k), e.right), mul(e.left, _pruned_diff(e.right, k)))
+    if isinstance(e, expr.Div):
+        num = sub(mul(_pruned_diff(e.left, k), e.right), mul(e.left, _pruned_diff(e.right, k)))
+        return num if zero(num) else expr.Div(num, expr.Pow(e.right, 2))
+    if isinstance(e, expr.Pow):
+        if e.exponent == 0:
+            return expr.Number(0.0)
+        return mul(expr.Mul(expr.Number(float(e.exponent)), expr.Pow(e.base, e.exponent - 1)),
+                   _pruned_diff(e.base, k))
+    return neg(_pruned_diff(e.child, k))
+
+
+def _walked_vars(e):
+    """The variable set of ``e`` as a bit mask, found by walking every node."""
+    return sum({1 << v.index for v in _nodes(e) if isinstance(v, expr.Variable)})
+
+
+def _same_values(a, b, x):
+    """Both trees raise ``DivisionByZeroError`` at x, or give the same bits there."""
+    results = []
+    for t in (a, b):
+        try:
+            results.append(np.array(expr.evaluate(t, x)))
+        except DivisionByZeroError:
+            results.append(None)
+    if results[0] is None or results[1] is None:
+        return results[0] is results[1]
+    return _same_bits(*results)
+
+
+@given(_batch_tree, st.tuples(_batch_coord, _batch_coord, _batch_coord),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_masked_derivative_is_the_unmasked_pruned_one(tree, point, k):
+    got, want = expr.differentiate(tree, k), _pruned_diff(tree, k)
+    assert expr.to_text(got) == expr.to_text(want)
+    assert _same_values(got, want, list(point))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_masked_partials_of_dense_quadrics_are_the_unmasked_pruned_ones(n):
+    rng = np.random.default_rng(100 + n)
+    body, a = quadric_body(rng, n)
+    x = quadric_boundary_point(rng, a).tolist()
+    for k in range(1, n + 1):
+        first = _pruned_diff(body.f, k)
+        pairs = [(body.partial(k), first)] + [
+            (body.second_partial(k, l), _pruned_diff(first, l)) for l in range(k, n + 1)]
+        for got, want in pairs:
+            assert expr.to_text(got) == expr.to_text(want)
+            assert _same_values(got, want, x)
+
+
+@given(_batch_tree, st.sampled_from([1, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_every_node_carries_the_variables_under_it(tree, k):
+    for t in (tree, expr.parse(expr.to_text(tree), 3), expr.differentiate(tree, k),
+              expr.substitute(tree, {k: expr.Neg(expr.Variable(1))})):
+        for node in _nodes(t):
+            assert node._vars == _walked_vars(node)
+
+
+def test_huge_variable_index_gets_the_all_ones_mask():
+    # 1 << 10**15 would need 125 TB, so such a subtree is walked for every k
+    big = expr.parse("x" + "9" * 15, 10**16)
+    tree = expr.Add(expr.Mul(big, expr.Variable(2)), expr.Variable(1))
+    assert big._vars == tree._vars == -1
+    for k in (1, 2, 3, big.index):
+        assert expr.to_text(expr.differentiate(tree, k)) == expr.to_text(_pruned_diff(tree, k))
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_variable_index_below_one_is_refused(index):
+    # x0 would read the last coordinate, and a negative index has no mask bit
+    with pytest.raises(ValueError):
+        expr.Variable(index)
 
 
 def test_second_partial_of_dense_quadric_does_not_grow_with_n():
